@@ -13,11 +13,12 @@ let default_config =
     on_permits_down = (fun ~node:_ ~size:_ -> ());
   }
 
-(* The wire-tag universe as a variant: exhaustiveness of [suffix_to_string]
-   and the unused-constructor warning make conformance a compiler
-   guarantee; what remains for the static (dynlint D8) and runtime
-   (test_conformance) checks is this one string boundary, which is why the
-   [[@@dynlint.tag_universe]] attribute rides the renderer. *)
+(* The wire-tag universe as a variant: a send names a constructor and
+   [suffix_to_string] is an exhaustive match, so no tag outside the
+   universe can reach the wire. What the type cannot say -- that every
+   constructor is actually sent -- is checked at runtime by
+   test_conformance, which requires the suffixes seen on the wire across
+   its covering runs to equal [tag_suffixes]. *)
 type suffix =
   | Agent_down
   | Agent_reject
@@ -35,7 +36,6 @@ let suffix_to_string = function
   | Agent_unlock -> "agent-unlock"
   | Agent_up -> "agent-up"
   | Reject_wave -> "reject-wave"
-[@@dynlint.tag_universe]
 
 (* Dense index for the per-controller [Tag.id] array; must enumerate in
    [all_suffixes] order. *)

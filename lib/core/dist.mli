@@ -60,17 +60,15 @@ type suffix =
   | Agent_up
   | Reject_wave
       (** The wire-tag universe as a variant: a send names a constructor,
-          so a tag outside the universe is a type error, and an unused
-          constructor is a compiler warning — conformance is a compiler
-          guarantee up to the one string boundary below. *)
+          so a tag outside the universe is a type error — conformance is a
+          compiler guarantee up to the one string boundary below. *)
 
 val suffix_to_string : suffix -> string
 (** The wire suffix of a constructor; the full tag is
-    [config.name ^ "-" ^ suffix_to_string s]. This renderer carries the
-    [[@@dynlint.tag_universe]] attribute: its match arms are the declared
-    tag universe that dynlint's D8 pass checks intern-boundary string
-    literals against, and that [test_conformance] compares
-    [Net.messages_by_tag] to at runtime. *)
+    [config.name ^ "-" ^ suffix_to_string s]. Its match arms are the
+    declared tag universe: [test_conformance] checks at runtime that
+    every tag in [Net.messages_by_tag] is in it, and that a covering set
+    of runs sends every constructor. *)
 
 val tag_suffixes : string list
 (** [suffix_to_string] of every constructor, sorted — the string view of

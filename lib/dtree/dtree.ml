@@ -93,7 +93,7 @@ let alloc t =
   t.degree.(v) <- 0;
   Bytes.set t.state v '\001';
   v
-  [@@dynlint.zero_alloc] [@@dynlint.pool_acquire]
+  [@@dynlint.zero_alloc]
 
 let free_slot t v =
   Bytes.set t.state v '\002';
@@ -106,7 +106,7 @@ let free_slot t v =
     t.free_head <- v
   end
   else t.next_sibling.(v) <- nil
-  [@@dynlint.zero_alloc] [@@dynlint.pool_release]
+  [@@dynlint.zero_alloc]
 
 let create ?(reuse_ids = false) () =
   let t =
@@ -128,7 +128,6 @@ let create ?(reuse_ids = false) () =
       port_counter = 0;
     }
   in
-  (* dynlint: allow pool-discipline — the root slot is never freed *)
   ignore (alloc t : node);
   t
 
@@ -206,7 +205,6 @@ let add_internal t ~above =
   t.parent.(u) <- p;
   t.prev_sibling.(u) <- prev;
   t.next_sibling.(u) <- next;
-  (* dynlint: allow pool-discipline — arena ids live in the tree's columns *)
   if prev <> nil then t.next_sibling.(prev) <- u else t.first_child.(p) <- u;
   if next <> nil then t.prev_sibling.(next) <- u;
   t.first_child.(u) <- above;
@@ -486,7 +484,19 @@ let check t =
       if Bytes.get t.state !c <> '\002' then
         failwith "Dtree.check: live node on the free list";
       c := t.next_sibling.(!c)
-    done
+    done;
+    (* Only [free_slot] marks a slot deleted, and it pushes it, so an
+       acyclic list of deleted slots as long as the deleted count holds
+       every one of them: a leaked slot shows up as a shortfall. *)
+    let deleted = ref 0 in
+    for v = 0 to t.next_slot - 1 do
+      if Bytes.get t.state v = '\002' then incr deleted
+    done;
+    if !steps <> !deleted then
+      failwith
+        (Printf.sprintf
+           "Dtree.check: %d deleted slot(s) but %d on the free list" !deleted
+           !steps)
   end
 
 let pp ppf t =

@@ -141,8 +141,9 @@ val port_to_parent : t -> node -> int
 
 val check : t -> unit
 (** Validate internal invariants (parent/child symmetry, acyclicity,
-    connectivity, live-set consistency). @raise Failure on violation.
-    Intended for tests. *)
+    connectivity, live-set consistency; under [~reuse_ids:true], the free
+    list holds exactly the deleted slots, so a leaked slot is caught).
+    @raise Failure on violation. Intended for tests. *)
 
 val pp : Format.formatter -> t -> unit
 (** Render the tree, one node per line, indented by depth. *)

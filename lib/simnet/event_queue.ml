@@ -83,10 +83,10 @@ let add_prio t ~time ~priority payload =
     swap t !i p;
     i := p
   done
-  [@@dynlint.zero_alloc] [@@dynlint.transfers_ownership]
+  [@@dynlint.zero_alloc]
 
 let add t ~time ?(priority = 0) payload = add_prio t ~time ~priority payload
-  [@@dynlint.zero_alloc] [@@dynlint.transfers_ownership]
+  [@@dynlint.zero_alloc]
 
 let next_time t =
   if t.size = 0 then invalid_arg "Event_queue.next_time: empty";
@@ -120,7 +120,7 @@ let pop_exn t =
     done
   end;
   top
-  [@@dynlint.zero_alloc] [@@dynlint.pool_acquire]
+  [@@dynlint.zero_alloc]
 
 let pop t =
   if t.size = 0 then None

@@ -182,6 +182,45 @@ let test_reuse_differential () =
   let id_bound = Dtree.fold_dfs t ~init:0 ~f:(fun acc v -> max acc v) in
   check_bool "ids bounded by peak live size" true (id_bound < !peak)
 
+let test_free_list_exact () =
+  (* Dtree.check demands that the free list hold exactly the deleted
+     slots; run it after every op of a churn that frees slots through both
+     removals and refills them through both insertions. The same law,
+     seen from outside: refilling as many nodes as were deleted mints no
+     slot past the high-water mark, and only the next one does. *)
+  let rng = Rng.create ~seed:7020 in
+  let t = Dtree.create ~reuse_ids:true () in
+  let high = ref 0 in
+  let add v = high := max !high v in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  for _ = 1 to 1000 do
+    let non_root = List.filter (fun v -> v <> Dtree.root t) in
+    (match Rng.int rng 4 with
+    | 0 -> add (Dtree.add_leaf t ~parent:(pick (Dtree.live_nodes t)))
+    | 1 -> (
+        match non_root (Dtree.live_nodes t) with
+        | [] -> ()
+        | vs -> add (Dtree.add_internal t ~above:(pick vs)))
+    | 2 -> (
+        match non_root (Dtree.leaves t) with
+        | [] -> ()
+        | vs -> Dtree.remove_leaf t (pick vs))
+    | _ -> (
+        match Dtree.internal_nodes t with
+        | [] -> ()
+        | vs -> Dtree.remove_internal t (pick vs)));
+    Dtree.check t
+  done;
+  let deleted = !high + 1 - Dtree.size t in
+  check_bool "the churn deleted something" true (deleted > 0);
+  for _ = 1 to deleted do
+    let v = Dtree.add_leaf t ~parent:(Dtree.root t) in
+    check_bool "a deleted slot comes back" true (v <= !high)
+  done;
+  Dtree.check t;
+  check_int "then the arena grows" (!high + 1)
+    (Dtree.add_leaf t ~parent:(Dtree.root t))
+
 (* ------------------------------------------------------------------ *)
 (* 10^6-node degenerate path: the seed's recursive traversals           *)
 (* overflowed the stack here (subtree_size, fold_dfs, check, pp)        *)
@@ -222,6 +261,8 @@ let suite =
       Alcotest.test_case "free-list reuse is LIFO" `Quick test_reuse_lifo;
       Alcotest.test_case "invariants under churn with reuse" `Quick
         test_reuse_differential;
+      Alcotest.test_case "free list is the deleted set" `Quick
+        test_free_list_exact;
       Alcotest.test_case "million-node path traversals" `Quick
         test_million_node_path;
     ] )

@@ -1,11 +1,11 @@
-(* Runtime witness for the invariant dynlint's D12 pool-discipline pass
-   proves statically: every cell the network mints is either in flight or
-   parked scrubbed in the pool, at every point user code can observe the
-   network — between steps, inside a delivery continuation, inside a
-   scheduled action, and even after one of those raises. The guarantee
-   rests on deliver/step releasing the cell *before* invoking its closure,
-   which is exactly the copy-then-release shape the static pass blesses
-   via [@dynlint.transfers_ownership]. *)
+(* Runtime witness for pooled-cell conservation: every cell the network
+   mints is either in flight or parked scrubbed in the pool, at every
+   point user code can observe the network — between steps, inside a
+   delivery continuation, inside a scheduled action, and even after one
+   of those raises. The pool primitives are private to net.ml (net.mli
+   exports neither acquire nor release), so this witness and that
+   boundary together carry the guarantee. It rests on deliver/step
+   releasing the cell *before* invoking its closure. *)
 
 exception Kaboom
 

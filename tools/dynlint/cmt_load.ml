@@ -1,10 +1,9 @@
 (* One shared .cmt load for every typed pass.
 
-   Before D12/D13 each generation of typed rules re-read the cmt set on
-   its own; with four passes (D7-D9 scan, D11 alloc, D12 pool, D13 flow)
-   that would read every file four times. The driver loads once into
-   [unit_info] values and hands the same list to each pass; the per-pass
-   wall-time report in the summary line keeps the sharing honest. *)
+   Both typed passes (the D7/D9 scan and D11 alloc) read the same cmt
+   set. The driver loads it once into [unit_info] values and hands the
+   same list to each pass; the per-pass wall-time report in the summary
+   line keeps the sharing honest. *)
 
 type unit_info = {
   ui_name : string;  (* unwrapped unit name: "Mylib__Net" -> "Net" *)

@@ -1,4 +1,4 @@
-(** Shared [.cmt] loading for the typed passes (D7-D9, D11, D12, D13).
+(** Shared [.cmt] loading for the typed passes (D7, D9, D11).
 
     The driver reads each cmt exactly once and hands the same
     {!unit_info} list to every pass; the per-pass wall-time report in

@@ -1,46 +1,42 @@
 (* dynlint — determinism & domain-safety lint for this repo.
 
    Usage: dynlint [--rules] [--root DIR] [--allow FILE] [--cmt DIR]...
-                  [--sarif FILE] [--graph FILE]... [--time-budget-ms N]
-                  [PATH...]
+                  [--sarif FILE] [--time-budget-ms N] [PATH...]
 
    Each PATH (relative to --root, default ".") is a directory walked
    recursively or a single .ml file; the parsetree pass (D1-D6) runs over
    those. Each --cmt DIR is searched (relative to the working directory,
    where dune leaves _build artifacts) for .cmt files; the cmts are read
-   ONCE into a shared unit list and every typed pass runs over it: the
-   typedtree scan (D7-D9), the alloc pass (D11), the pool pass (D12) and
-   the flow pass (D13). A --cmt DIR yielding no .cmt files is a hard error
-   (exit 2), because silently skipping the typed passes would green-wash a
-   broken build graph. Source files referenced by the cmts are resolved
+   ONCE into a shared unit list and both typed passes run over it: the
+   typedtree scan (D7, D9) and the alloc pass (D11). A --cmt DIR yielding
+   no .cmt files is a hard error (exit 2), because silently skipping the
+   typed passes would green-wash a broken build graph. Source files referenced by the cmts are resolved
    against --root for inline-allow suppression. After every pass, any
    allow-file entry or inline allow comment that suppressed nothing is
-   itself reported (D10), so dead exceptions cannot accumulate.
+   itself reported (D10), as is an inline allow naming no rule, so dead
+   exceptions cannot accumulate.
 
-   --graph FILE (repeatable) writes the D13 protocol message-flow graph:
-   .dot for Graphviz, anything else as JSON. --rules prints the rule table
-   and exits. Per-pass wall time is reported on stderr as
-   "dynlint: timings(ms) parsetree=... load=... typed=... alloc=...
-   pool=... flow=... total=..."; --time-budget-ms N exits 3 when the total
-   exceeds N, which CI uses to keep the lint gate honest about its own
-   cost.
+   --rules prints the rule table and exits. Per-pass wall time is
+   reported on stderr as "dynlint: timings(ms) parsetree=... load=...
+   typed=... alloc=... total=..."; --time-budget-ms N exits 3 when the
+   total exceeds N, which CI uses to keep the lint gate honest about its
+   own cost.
 
    Prints one "file:line:col [id name] message" per finding, writes the
    findings as SARIF 2.1.0 when --sarif is given (also when clean), and
-   exits 1 when there are any findings, 0 on a clean tree. Artifacts
-   (--sarif, --graph) are written before any failing exit. See
-   tools/dynlint/lint.mli and DESIGN.md "Static analysis" for the rule
-   set and the allowlist syntax. *)
+   exits 1 when there are any findings, 0 on a clean tree. The SARIF file
+   is written before any failing exit. See tools/dynlint/lint.mli and
+   DESIGN.md "Static analysis" for the rule set and the allowlist
+   syntax. *)
 
 let usage =
   "dynlint [--rules] [--root DIR] [--allow FILE] [--cmt DIR]... [--sarif \
-   FILE] [--graph FILE]... [--time-budget-ms N] [PATH...]"
+   FILE] [--time-budget-ms N] [PATH...]"
 
 let () =
   let root = ref "." in
   let allow_file = ref None in
   let sarif_file = ref None in
-  let graph_files = ref [] in
   let time_budget_ms = ref None in
   let cmt_dirs = ref [] in
   let paths = ref [] in
@@ -62,10 +58,6 @@ let () =
       ( "--sarif",
         Arg.String (fun f -> sarif_file := Some f),
         "FILE  also write the findings as SARIF 2.1.0 to FILE" );
-      ( "--graph",
-        Arg.String (fun f -> graph_files := f :: !graph_files),
-        "FILE  write the D13 message-flow graph (.dot => Graphviz, else \
-         JSON; repeatable)" );
       ( "--time-budget-ms",
         Arg.Int (fun n -> time_budget_ms := Some n),
         "N  exit 3 when the total lint wall time exceeds N milliseconds" );
@@ -99,54 +91,31 @@ let () =
         if paths = [] then []
         else Lint.lint_tree ~allow ~tracker ~root:!root paths)
   in
-  let typed, graph =
-    if cmt_dirs = [] then ([], None)
+  let typed =
+    if cmt_dirs = [] then []
     else begin
       (* An empty --cmt DIR means @check didn't run (or the dir is wrong):
-         the typed passes (D7-D9, D11-D13) would silently vacuously pass. *)
+         the typed passes (D7, D9, D11) would silently vacuously pass. *)
       List.iter
         (fun d ->
           if Cmt_load.collect_cmt_files [ d ] = [] then (
             Printf.eprintf
               "dynlint: --cmt %s contains no .cmt files; run `dune build \
-               @check` first (typed rules D7-D9/D11-D13 cannot run without \
-               cmts)\n"
+               @check` first (typed rules D7/D9/D11 cannot run without cmts)\n"
               d;
             exit 2))
         cmt_dirs;
-      (* one read of every cmt, shared by all four typed passes *)
+      (* one read of every cmt, shared by both typed passes *)
       let units = timed "load" (fun () -> Cmt_load.load_dirs cmt_dirs) in
       let emitter = Lint.make_emitter ~allow ~tracker ~source_root:!root () in
       timed "typed" (fun () -> Lint_typed.scan_units ~emitter units);
       timed "alloc" (fun () -> Lint_typed.alloc_units ~emitter units);
-      timed "pool" (fun () -> Lint_pool.lint_units ~emitter units);
-      let graph =
-        timed "flow" (fun () -> Lint_flow.lint_units ~emitter units)
-      in
-      (Lint.emitter_findings emitter, Some graph)
+      Lint.emitter_findings emitter
     end
   in
-  (match (!graph_files, graph) with
-  | [], _ -> ()
-  | files, Some g ->
-      List.iter
-        (fun f ->
-          let text =
-            if Filename.check_suffix f ".dot" then Lint_flow.to_dot g
-            else Lint_flow.to_json g
-          in
-          let oc = open_out f in
-          output_string oc text;
-          close_out oc)
-        files
-  | _ :: _, None ->
-      prerr_endline "dynlint: --graph needs --cmt (the flow pass reads cmts)";
-      exit 2);
   let in_scope rule =
     match rule with
-    | Lint.Parallel_race | Lint.Protocol | Lint.Rng_taint | Lint.Zero_alloc
-    | Lint.Pool_discipline | Lint.Message_flow ->
-        cmt_dirs <> []
+    | Lint.Parallel_race | Lint.Rng_taint | Lint.Zero_alloc -> cmt_dirs <> []
     | Lint.Stale_allow -> true
     | _ -> paths <> []
   in

@@ -6,12 +6,9 @@ type rule =
   | Mli
   | Stdout
   | Parallel_race
-  | Protocol
   | Rng_taint
   | Zero_alloc
   | Stale_allow
-  | Pool_discipline
-  | Message_flow
 
 let rule_id = function
   | Global_state -> "D1"
@@ -21,12 +18,9 @@ let rule_id = function
   | Mli -> "D5"
   | Stdout -> "D6"
   | Parallel_race -> "D7"
-  | Protocol -> "D8"
   | Rng_taint -> "D9"
   | Stale_allow -> "D10"
   | Zero_alloc -> "D11"
-  | Pool_discipline -> "D12"
-  | Message_flow -> "D13"
 
 let rule_name = function
   | Global_state -> "global-state"
@@ -36,12 +30,9 @@ let rule_name = function
   | Mli -> "mli"
   | Stdout -> "stdout"
   | Parallel_race -> "parallel-race"
-  | Protocol -> "protocol-conformance"
   | Rng_taint -> "rng-taint"
   | Stale_allow -> "stale-allow"
   | Zero_alloc -> "zero-alloc"
-  | Pool_discipline -> "pool-discipline"
-  | Message_flow -> "message-flow"
 
 let rule_help = function
   | Global_state ->
@@ -59,39 +50,25 @@ let rule_help = function
       "A closure handed to Pool.map/Pool.run/Explore.sweep captures a mutable \
        value defined outside it: that value is shared across domains and the \
        -j N = -j 1 byte-determinism contract breaks."
-  | Protocol ->
-      "Every tag literal sent through Net.send or handed to the intern \
-       boundary (Net.intern_tag / Tag.intern) must appear in a declared tag \
-       universe ([@@dynlint.tag_universe]); list-form universe entries must \
-       also be sent somewhere. Variant renderers declare their universe as a \
-       function, where dead arms are already a compiler guarantee."
   | Rng_taint ->
       "Every Rng.t must flow from a function parameter or an explicit \
        Rng.create ~seed, never from a module-level binding: module-level RNG \
        state is drawn from in whatever order domains interleave."
   | Stale_allow ->
-      "This allowlist entry or inline allow comment suppresses nothing; dead \
-       exceptions accumulate until they hide a real regression."
+      "This allowlist entry or inline allow comment suppresses nothing, or \
+       this inline allow or [@@dynlint.*] attribute names no rule dynlint \
+       knows; dead or misspelled exceptions accumulate until they hide a real \
+       regression."
   | Zero_alloc ->
       "A function annotated [@@dynlint.zero_alloc] must allocate nothing on \
        any non-raising path: no closures, tuples, records, boxed floats, \
        refs, partial applications, polymorphic compares, or calls into \
        functions not themselves proven or assumed zero-alloc."
-  | Pool_discipline ->
-      "A value acquired from a [@@dynlint.pool_acquire] function must be \
-       released exactly once on every path, including exception paths: a \
-       leaked or double-released cell silently corrupts the pool. Hand-offs \
-       go through [@dynlint.transfers_ownership] functions or a tail return."
-  | Message_flow ->
-      "Every constructor of a variant tag universe must have at least one \
-       Net.send site and at least one installed delivery continuation: an \
-       orphan or unreceivable tag is a protocol hole no runtime test walks."
 
 let all_rules =
   [
     Global_state; Ambient; Poly_compare; Unsafe; Mli; Stdout; Parallel_race;
-    Protocol; Rng_taint; Stale_allow; Zero_alloc; Pool_discipline;
-    Message_flow;
+    Rng_taint; Stale_allow; Zero_alloc;
   ]
 
 (* Which phase of the tool owns the rule — the `--rules` table prints it,
@@ -99,10 +76,8 @@ let all_rules =
    in_scope gating mirrors it. *)
 let rule_pass = function
   | Global_state | Ambient | Poly_compare | Unsafe | Mli | Stdout -> "parsetree"
-  | Parallel_race | Protocol | Rng_taint -> "typedtree"
+  | Parallel_race | Rng_taint -> "typedtree"
   | Zero_alloc -> "alloc"
-  | Pool_discipline -> "pool"
-  | Message_flow -> "flow"
   | Stale_allow -> "driver"
 
 (* The `dynlint --rules` table: one line per rule. Kept as data (not
@@ -123,23 +98,12 @@ let rules_table () =
 
 let rule_of_name s = List.find_opt (fun r -> rule_name r = s) all_rules
 
-(* A secondary location attached to a finding: D12 links the acquire site
-   to the path that leaks it, D13 links the universe declaration to its
-   orphan constructor. Rendered as SARIF relatedLocations. *)
-type related = {
-  r_file : string;
-  r_line : int;
-  r_col : int;
-  r_msg : string;
-}
-
 type finding = {
   file : string;
   line : int;
   col : int;
   rule : rule;
   msg : string;
-  related : related list;
 }
 
 let finding_to_string f =
@@ -174,7 +138,7 @@ let no_allow = { entries = []; allow_path = "" }
 type tracker = {
   mutable used_entries : (rule * string) list;
   mutable used_inline : (string * int) list;  (* file, comment line *)
-  mutable inline_sites : (string * int * rule) list;
+  mutable inline_sites : (string * int * string) list;  (* file, line, name *)
 }
 
 let new_tracker () = { used_entries = []; used_inline = []; inline_sites = [] }
@@ -267,10 +231,10 @@ let line_allowed ?tracker ~file lines rule l =
   end
   else false
 
-(* Register every "dynlint: allow <rule-name>" site in [lines] with the
-   tracker, so unused ones can be reported as stale. The rule name is the
-   longest [a-z-] token following the marker; unknown names are ignored
-   (they never suppress anything either). *)
+(* Register every "dynlint: allow <name>" site in [lines] with the
+   tracker, so unused ones can be reported as stale. The name is the
+   longest [a-z-] token following the marker; one that names no rule is
+   kept too, and reported as unknown vocabulary rather than ignored. *)
 let inline_marker = "dynlint: allow "
 
 let scan_inline_allows ?tracker ~file lines =
@@ -292,12 +256,9 @@ let scan_inline_allows ?tracker ~file lines =
               do
                 incr stop
               done;
-              (match rule_of_name (String.sub line start (!stop - start)) with
-              | Some r ->
-                  let k = (file, i + 1, r) in
-                  if not (List.mem k t.inline_sites) then
-                    t.inline_sites <- k :: t.inline_sites
-              | None -> ());
+              let k = (file, i + 1, String.sub line start (!stop - start)) in
+              if not (List.mem k t.inline_sites) then
+                t.inline_sites <- k :: t.inline_sites;
               find_from !stop
             end
             else find_from (ofs + 1)
@@ -307,9 +268,9 @@ let scan_inline_allows ?tracker ~file lines =
 
 (* Stale-suppression report: allow-file entries (unless pinned) and inline
    allow comments that suppressed no finding across every pass the tracker
-   saw. [in_scope] restricts the report to rules a pass actually ran — a
-   typed-only invocation must not call the parsetree rules' suppressions
-   stale (and vice versa). *)
+   saw, plus inline allows naming no rule at all. [in_scope] restricts the
+   report to rules a pass actually ran — a typed-only invocation must not
+   call the parsetree rules' suppressions stale (and vice versa). *)
 let stale_findings ?(in_scope = fun _ -> true) ~allow tracker =
   let entry_findings =
     List.filter_map
@@ -326,7 +287,6 @@ let stale_findings ?(in_scope = fun _ -> true) ~allow tracker =
               line = e.aline;
               col = 0;
               rule = Stale_allow;
-              related = [];
               msg =
                 Printf.sprintf
                   "allow entry \"%s %s\" suppresses nothing; delete it or mark \
@@ -337,23 +297,25 @@ let stale_findings ?(in_scope = fun _ -> true) ~allow tracker =
   in
   let inline_findings =
     List.filter_map
-      (fun (file, line, r) ->
-        if (not (in_scope r)) || List.mem (file, line) tracker.used_inline then
-          None
-        else
-          Some
-            {
-              file;
-              line;
-              col = 0;
-              rule = Stale_allow;
-              related = [];
-              msg =
-                Printf.sprintf
-                  "inline \"dynlint: allow %s\" suppresses nothing on this or \
-                   the next line; delete it"
-                  (rule_name r);
-            })
+      (fun (file, line, name) ->
+        let stale msg = Some { file; line; col = 0; rule = Stale_allow; msg } in
+        match rule_of_name name with
+        | None when in_scope Stale_allow ->
+            stale
+              (Printf.sprintf
+                 "inline \"dynlint: allow %s\" names no dynlint rule (see \
+                  dynlint --rules); it suppresses nothing"
+                 name)
+        | None -> None
+        | Some r ->
+            if (not (in_scope r)) || List.mem (file, line) tracker.used_inline
+            then None
+            else
+              stale
+                (Printf.sprintf
+                   "inline \"dynlint: allow %s\" suppresses nothing on this \
+                    or the next line; delete it"
+                   name))
       tracker.inline_sites
   in
   List.sort compare_findings (entry_findings @ inline_findings)
@@ -479,7 +441,7 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
       (not (line_allowed ?tracker ~file:path lines rule line))
       && not (file_allowed ?tracker allow rule path)
     then
-      findings := { file = path; line; col; rule; msg; related = [] } :: !findings
+      findings := { file = path; line; col; rule; msg } :: !findings
   in
   (* D1: scan a top-level binding's RHS, stopping at function boundaries —
      allocation inside a function body happens per call, not at module
@@ -561,11 +523,26 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
        only hook structure items. *)
     Ast_iterator.default_iterator.structure_item self item
   in
+  (* D10: zero_alloc is the only attribute any pass reads (D11), and an
+     unknown one is ignored by every pass, so a typo such as
+     [@@dynlint.zero_aloc] would silently switch D11's proof off. *)
+  let attribute_rule self (a : attribute) =
+    let name = a.attr_name.txt in
+    if String.starts_with ~prefix:"dynlint." name && name <> "dynlint.zero_alloc"
+    then
+      flag Stale_allow a.attr_name.loc
+        (Printf.sprintf
+           "attribute [@@%s] is read by no dynlint pass (the only one is \
+            [@@dynlint.zero_alloc]); it is silently ignored"
+           name);
+    Ast_iterator.default_iterator.attribute self a
+  in
   let it =
     {
       Ast_iterator.default_iterator with
       expr = expr_rule;
       structure_item = structure_item_rule;
+      attribute = attribute_rule;
     }
   in
   it.structure it str;
@@ -593,7 +570,6 @@ let lint_file ?(allow = no_allow) ?tracker ?display ~ctx path =
           col;
           rule = Unsafe;
           msg = "file does not parse: " ^ detail;
-          related = [];
         };
       ]
 
@@ -635,7 +611,6 @@ let check_mli ?(allow = no_allow) ?tracker ?display path =
               msg =
                 "missing interface " ^ Filename.basename mli
                 ^ ": every lib module declares its surface";
-              related = [];
             }
 
 (* ------------------------------------------------------------------ *)
@@ -690,11 +665,11 @@ let lint_tree ?(allow = no_allow) ?tracker ~root dirs =
 (* ------------------------------------------------------------------ *)
 (* the shared typed-pass emitter                                       *)
 
-(* Every typed pass (D7-D9 scan, D11 alloc, D12 pool, D13 flow) emits
-   through one of these: it owns the allow-file and inline-allow
-   suppression (sharing the tracker for D10 staleness), caches source
-   lines so each linted source is read once across all passes, and
-   accumulates the surviving findings. *)
+(* Both typed passes (the D7/D9 scan and D11 alloc) emit through one of
+   these: it owns the allow-file and inline-allow suppression (sharing the
+   tracker for D10 staleness), caches source lines so each linted source
+   is read once across both passes, and accumulates the surviving
+   findings. *)
 type emitter = {
   em_allow : allow;
   em_tracker : tracker option;
@@ -731,17 +706,10 @@ let emitter_touch_source em file =
       Hashtbl.add em.em_lines file l;
       l
 
-let emit ?(related = []) em rule (loc : Location.t) msg =
+let emit em rule (loc : Location.t) msg =
   let p = loc.loc_start in
   let f =
-    {
-      file = p.pos_fname;
-      line = p.pos_lnum;
-      col = p.pos_cnum - p.pos_bol;
-      rule;
-      msg;
-      related;
-    }
+    { file = p.pos_fname; line = p.pos_lnum; col = p.pos_cnum - p.pos_bol; rule; msg }
   in
   if not (file_allowed ?tracker:em.em_tracker em.em_allow rule f.file) then
     match emitter_touch_source em f.file with
@@ -749,14 +717,5 @@ let emit ?(related = []) em rule (loc : Location.t) msg =
       when line_allowed ?tracker:em.em_tracker ~file:f.file lines rule f.line ->
         ()
     | _ -> em.em_findings <- f :: em.em_findings
-
-let related_of_loc ?(msg = "") (loc : Location.t) =
-  let p = loc.loc_start in
-  {
-    r_file = p.pos_fname;
-    r_line = p.pos_lnum;
-    r_col = p.pos_cnum - p.pos_bol;
-    r_msg = msg;
-  }
 
 let emitter_findings em = List.sort_uniq Stdlib.compare em.em_findings

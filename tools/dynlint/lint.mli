@@ -4,9 +4,11 @@
     shipped); see DESIGN.md "Static analysis". D1-D6 operate on the
     parsetree (compiler-libs [Parse] + [Ast_iterator]) — no typing pass —
     so they are fast and run on any file that parses, at the cost of a few
-    syntactic heuristics. D7-D9 need types and cross-module visibility and
-    live in the typedtree pass ({!Lint_typed}, reading [.cmt] files); D10
-    is computed by the driver from the {!tracker} both passes share.
+    syntactic heuristics. D7, D9 and D11 need types and cross-module
+    visibility and live in the typed passes ({!Lint_typed} and
+    {!Lint_alloc}, reading [.cmt] files); D10 is computed by the driver
+    from the {!tracker} both passes share. D8, D12 and D13 are retired and
+    their ids are not reused (see DESIGN.md "Static analysis").
 
     {2 Rules}
 
@@ -32,29 +34,17 @@
       [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t],
       [Rng.t], [Dtree.t], [Metrics.t], [Sink.t]) defined outside the
       closure, or touches module-level mutable state: shared across domains.
-    - [D8 protocol-conformance] (typed): the string literals flowing into
-      [Net.send ~tag:] versus the tags declared in a binding carrying the
-      [[@@dynlint.tag_universe]] attribute; reports sent-but-never-declared
-      tags and declared-but-never-sent dead arms.
     - [D9 rng-taint] (typed): an [Rng.t] bound at module level, or drawn
       from another module's value, instead of flowing from a function
       parameter or an explicit [Rng.create ~seed].
     - [D10 stale-allow] (driver): an allow-file entry or inline allow
-      comment that suppressed no finding across the whole run.
+      comment that suppressed no finding across the whole run; an inline
+      allow naming no rule; a [[@@dynlint.<x>]] attribute other than
+      [zero_alloc] (reported by the parsetree pass).
     - [D11 zero-alloc] (typed, {!Lint_alloc}): a function annotated
       [[@@dynlint.zero_alloc]] is conservatively verified to allocate
       nothing on any non-raising path; [[@@dynlint.zero_alloc assume]]
       vouches for externals and wrappers the checker cannot see into.
-    - [D12 pool-discipline] (typed, {!Lint_pool}): every value acquired
-      from a [[@@dynlint.pool_acquire]] function is released exactly once
-      on every path, exception paths included; leaks, double releases and
-      escapes (module state, closures, containers) are findings.
-      [[@dynlint.transfers_ownership]] marks functions that legitimately
-      hand the value onward.
-    - [D13 message-flow] (typed, {!Lint_flow}): every constructor of a
-      variant [[@@dynlint.tag_universe]] must have at least one [Net.send]
-      site and at least one installed delivery continuation; the
-      reconstructed send/receive graph is emitted via [dynlint --graph].
 
     {2 Allowlisting}
 
@@ -75,21 +65,17 @@ type rule =
   | Mli  (** D5 *)
   | Stdout  (** D6 *)
   | Parallel_race  (** D7, typedtree pass *)
-  | Protocol  (** D8, typedtree pass *)
   | Rng_taint  (** D9, typedtree pass *)
   | Zero_alloc  (** D11, alloc pass *)
   | Stale_allow  (** D10, driver *)
-  | Pool_discipline  (** D12, pool pass *)
-  | Message_flow  (** D13, flow pass *)
 
 val rule_id : rule -> string
-(** ["D1"] .. ["D13"]. *)
+(** ["D1"] .. ["D11"], with no ["D8"]. *)
 
 val rule_name : rule -> string
 (** The allowlist token: ["global-state"], ["ambient"], ["poly-compare"],
-    ["unsafe"], ["mli"], ["stdout"], ["parallel-race"],
-    ["protocol-conformance"], ["rng-taint"], ["stale-allow"],
-    ["zero-alloc"], ["pool-discipline"], ["message-flow"]. *)
+    ["unsafe"], ["mli"], ["stdout"], ["parallel-race"], ["rng-taint"],
+    ["stale-allow"], ["zero-alloc"]. *)
 
 val rule_help : rule -> string
 (** One-sentence rationale, used as the SARIF rule description. *)
@@ -99,8 +85,7 @@ val all_rules : rule list
 
 val rule_pass : rule -> string
 (** Which phase owns the rule: ["parsetree"] (D1-D6), ["typedtree"]
-    (D7-D9), ["alloc"] (D11), ["pool"] (D12), ["flow"] (D13) or
-    ["driver"] (D10). The driver's per-pass timing summary uses the same
+    (D7, D9), ["alloc"] (D11) or ["driver"] (D10). The driver's per-pass timing summary uses the same
     names. *)
 
 val rules_table : unit -> string
@@ -109,23 +94,12 @@ val rules_table : unit -> string
 
 val rule_of_name : string -> rule option
 
-type related = {
-  r_file : string;
-  r_line : int;
-  r_col : int;
-  r_msg : string;
-}
-(** A secondary location attached to a finding: D12 links the acquire site
-    to the path that leaks it, D13 links the universe declaration to its
-    orphan constructor. Rendered as SARIF [relatedLocations]. *)
-
 type finding = {
   file : string;
   line : int;
   col : int;
   rule : rule;
   msg : string;
-  related : related list;
 }
 
 val finding_to_string : finding -> string
@@ -155,7 +129,8 @@ val new_tracker : unit -> tracker
 val stale_findings :
   ?in_scope:(rule -> bool) -> allow:allow -> tracker -> finding list
 (** D10: non-[pin] allow entries and inline allow comments that suppressed
-    nothing across everything the tracker saw. [in_scope] (default:
+    nothing across everything the tracker saw, plus inline allows whose
+    name is no rule (reported whenever D10 itself is in scope). [in_scope] (default:
     everything) restricts the report to rules that actually ran — a
     typed-only invocation must not call a parsetree rule's suppressions
     stale. Sorted by (file, line). *)
@@ -170,9 +145,9 @@ val line_allowed :
     allow comment on line [l] or [l-1]? Marks the comment used. *)
 
 val scan_inline_allows : ?tracker:tracker -> file:string -> string array -> unit
-(** Register every [dynlint: allow <rule-name>] site in the file's lines
-    with the tracker (so unused ones can be reported stale). No-op without
-    a tracker. *)
+(** Register every [dynlint: allow <name>] site in the file's lines with
+    the tracker, so unused ones, and ones naming no rule, can be reported
+    by {!stale_findings}. No-op without a tracker. *)
 
 val source_lines : string -> string array
 (** The file's lines, for {!line_allowed}/{!scan_inline_allows} callers
@@ -193,7 +168,7 @@ val lint_file :
   ?allow:allow -> ?tracker:tracker -> ?display:string -> ctx:ctx -> string ->
   finding list
 (** Parse one [.ml] file and run every applicable syntactic rule (D1-D4,
-    D6). A file that does not parse yields a single D4 finding at the error
+    D6, and D10's unknown-attribute check). A file that does not parse yields a single D4 finding at the error
     location (an unparseable file cannot be vouched for). Findings are in
     source order and carry [display] (default: the path itself) as their
     file. *)
@@ -218,9 +193,8 @@ type emitter
     inline-allow suppression (sharing the tracker for D10 staleness),
     caches source lines so each linted source is read once across every
     pass, and accumulates the surviving findings. Make one, hand it to
-    {!Lint_typed.scan_units}, {!Lint_typed.alloc_units},
-    {!Lint_pool.lint_units} and {!Lint_flow} in turn, then collect with
-    {!emitter_findings}. *)
+    {!Lint_typed.scan_units} and {!Lint_typed.alloc_units} in turn, then
+    collect with {!emitter_findings}. *)
 
 val make_emitter :
   ?allow:allow -> ?tracker:tracker -> ?source_root:string -> unit -> emitter
@@ -228,7 +202,7 @@ val make_emitter :
     paths recorded in cmts when reading sources for inline-allow
     suppression. *)
 
-val emit : ?related:related list -> emitter -> rule -> Location.t -> string -> unit
+val emit : emitter -> rule -> Location.t -> string -> unit
 (** Record one finding at a typedtree location unless an allow-file entry
     or inline allow comment suppresses it. *)
 
@@ -236,9 +210,6 @@ val emitter_touch_source : emitter -> string -> string array option
 (** Read (and cache) a linted source's lines, registering its inline allow
     sites with the tracker — call for every scanned unit so finding-free
     files still report stale allows. [None] when the source is missing. *)
-
-val related_of_loc : ?msg:string -> Location.t -> related
-(** Build a {!related} entry from a typedtree location. *)
 
 val emitter_findings : emitter -> finding list
 (** Everything emitted so far, sorted and deduplicated. *)

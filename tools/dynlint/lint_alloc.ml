@@ -43,11 +43,11 @@
    callee that allocates is reported at the *call site* inside the
    annotated function, so a justified exception ([acquire]'s pool-miss
    path) is one inline allow comment at that call. Cross-module callees
-   are looked up in the summary table built from every scanned cmt —
-   D8's universe-table pattern — keyed (unit, value-name); anything not
-   found there is flagged. [@@dynlint.zero_alloc assume] enters the table
-   without verification, the escape hatch for externals and wrappers the
-   checker cannot see into. *)
+   are looked up in the summary table built from every scanned cmt, keyed
+   (unit, value-name); anything not found there is flagged.
+   [@@dynlint.zero_alloc assume] enters the table without verification,
+   the escape hatch for externals and wrappers the checker cannot see
+   into. *)
 
 open Typedtree
 

@@ -1,12 +1,12 @@
-(* The typedtree pass: D7/D8/D9/D11 over .cmt files.
+(* The typedtree pass: D7/D9/D11 over .cmt files.
 
    Where lint.ml works purely syntactically, these rules need types (is
    this captured value a Hashtbl.t?) and cross-module visibility (is this
-   tag literal declared in *any* compilation unit's tag universe?), so
-   they read the .cmt files that `dune build @check` leaves under
-   _build/**/.objs/byte/. D11's allocation checker lives in Lint_alloc;
-   this driver collects its per-unit summaries in the same sweep that
-   scans for D7-D9 and runs the verification once every unit is in.
+   Rng.t another module's value?), so they read the .cmt files that
+   `dune build @check` leaves under _build/**/.objs/byte/. D11's
+   allocation checker lives in Lint_alloc; this driver collects its
+   per-unit summaries over the same units and runs the verification once
+   every unit is in.
 
    Path matching is by suffix on the normalized component list: a [Path.t]
    is flattened to its dotted components and every component is further
@@ -19,7 +19,7 @@ open Typedtree
 
 (* ---------- path and type normalization ---------- *)
 
-(* "Mylib__Pool" -> ["Mylib"; "Pool"]; plain "tag_universe" is untouched
+(* "Mylib__Pool" -> ["Mylib"; "Pool"]; plain "zero_alloc" is untouched
    (only double underscores split). *)
 let split_dunder s =
   let n = String.length s in
@@ -60,18 +60,6 @@ let parallel_target p =
   else if hit "Pool" "iter" then Some "Pool.iter"
   else if hit "Explore" "sweep" then Some "Explore.sweep"
   else None
-
-let is_net_send p = ends_with ~suffix:[ "Net"; "send" ] (norm_path p)
-
-(* The intern boundary: with variant wire tags, the one place a protocol
-   turns strings into tag ids. A *direct* string-literal argument here is a
-   hand-rolled tag that must sit inside some declared universe; computed
-   strings (the [suffix_to_string]-rendered joins) are the renderer's
-   responsibility and stay out of D8's reach. *)
-let is_tag_intern p =
-  let c = norm_path p in
-  ends_with ~suffix:[ "Net"; "intern_tag" ] c
-  || ends_with ~suffix:[ "Tag"; "intern" ] c
 
 (* Types whose values are mutable through their public API: sharing one
    across Pool domains is a race. "ref" is special-cased (its head is
@@ -228,41 +216,7 @@ let analyze_closures ~binds ~target ~emit (e : expression) =
   in
   go e
 
-(* ---------- D8/D9 collection ---------- *)
-
-(* String constants anywhere under an expression — both expression literals
-   and pattern literals, so a universe declared as a list OR matched in a
-   dispatch function both contribute. *)
-let string_consts_in (e : expression) =
-  let acc = ref [] in
-  let it =
-    {
-      Tast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.exp_desc with
-          | Texp_constant (Asttypes.Const_string (s, _, _)) ->
-              acc := (s, e.exp_loc) :: !acc
-          | _ -> ());
-          Tast_iterator.default_iterator.expr self e);
-      pat =
-        (fun (type k) self (p : k general_pattern) ->
-          (match p.pat_desc with
-          | Tpat_constant (Asttypes.Const_string (s, _, _)) ->
-              acc := (s, p.pat_loc) :: !acc
-          | _ -> ());
-          Tast_iterator.default_iterator.pat self p);
-    }
-  in
-  it.expr it e;
-  List.rev !acc
-
-let universe_attr = "dynlint.tag_universe"
-
-let has_universe_attr attrs =
-  List.exists
-    (fun (a : Parsetree.attribute) -> a.attr_name.txt = universe_attr)
-    attrs
+(* ---------- D9 ---------- *)
 
 (* D9 part one: Rng.t bound at module level (top-level structure items and
    nested module structures — not expression-local bindings, which are
@@ -342,9 +296,9 @@ and d9_smuggled ~emit (vb : value_binding) =
            name))
     !found
 
-(* One walk per structure: D7 at parallel call sites, D8 send-site literal
-   harvesting, D8 universe harvesting, D9 cross-module Rng reads. *)
-let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
+(* One walk per structure: D7 at parallel call sites, D9 cross-module Rng
+   reads, then D9's module-level bindings. *)
+let scan_structure ~emit (str : structure) =
   let binds = collect_value_binds str in
   let it =
     {
@@ -360,28 +314,7 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
                       | _, Some arg -> analyze_closures ~binds ~target ~emit arg
                       | _, None -> ())
                     args
-              | None ->
-                  if is_net_send p then
-                    List.iter
-                      (function
-                        | Asttypes.Labelled "tag", Some arg ->
-                            d8_sent := string_consts_in arg @ !d8_sent
-                        | _ -> ())
-                      args
-                  else if is_tag_intern p then
-                    List.iter
-                      (function
-                        | ( _,
-                            Some
-                              {
-                                exp_desc =
-                                  Texp_constant (Asttypes.Const_string (s, _, _));
-                                exp_loc;
-                                _;
-                              } ) ->
-                            d8_sent := (s, exp_loc) :: !d8_sent
-                        | _ -> ())
-                      args)
+              | None -> ())
           | Texp_ident ((Path.Pdot _ as p), _, _) when is_rng_type e.exp_type ->
               emit Lint.Rng_taint e.exp_loc
                 (Printf.sprintf
@@ -389,32 +322,6 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
                    (display_path p))
           | _ -> ());
           Tast_iterator.default_iterator.expr self e);
-      structure_item =
-        (fun self item ->
-          (match item.str_desc with
-          | Tstr_value (_, vbs) ->
-              List.iter
-                (fun vb ->
-                  if has_universe_attr vb.vb_attributes then begin
-                    (* A universe declared as a *function* (a variant
-                       renderer's match arms) gets its dead-arm direction
-                       from the compiler — exhaustiveness plus the
-                       unused-constructor warning — so only the rogue-tag
-                       direction applies to its literals. *)
-                    let from_function =
-                      match vb.vb_expr.exp_desc with
-                      | Texp_function _ -> true
-                      | _ -> false
-                    in
-                    d8_declared :=
-                      List.map
-                        (fun (s, l) -> (s, l, from_function))
-                        (string_consts_in vb.vb_expr)
-                      @ !d8_declared
-                  end)
-                vbs
-          | _ -> ());
-          Tast_iterator.default_iterator.structure_item self item);
     }
   in
   it.structure it str;
@@ -422,48 +329,21 @@ let scan_structure ~emit ~d8_sent ~d8_declared (str : structure) =
 
 (* ---------- the pass driver over preloaded units ---------- *)
 
-let collect_cmt_files = Cmt_load.collect_cmt_files
-
-(* D7-D9 over every unit, then the global D8 comparison. The caller loads
-   the cmts once (Cmt_load) and shares the unit list — and the emitter —
-   with the alloc/pool/flow passes. *)
+(* D7 and D9 over every unit. The caller loads the cmts once (Cmt_load)
+   and shares the unit list — and the emitter — with the alloc pass. *)
 let scan_units ~emitter units =
   let emit rule loc msg = Lint.emit emitter rule loc msg in
-  let d8_sent = ref [] and d8_declared = ref [] in
   List.iter
     (fun (u : Cmt_load.unit_info) ->
       (* Touch the source now so its inline allow sites register with the
          tracker even when the file is finding-free. *)
       ignore (Lint.emitter_touch_source emitter u.ui_source);
-      scan_structure ~emit ~d8_sent ~d8_declared u.ui_str)
-    units;
-  (* D8 is global: compare the sent and declared literal sets across every
-     scanned compilation unit. Function-form universes (variant renderers)
-     only participate in the rogue-tag direction — their dead arms are the
-     compiler's problem, not the linter's. *)
-  let declared = List.rev !d8_declared and sent = List.rev !d8_sent in
-  let declared_tags = List.map (fun (s, _, _) -> s) declared
-  and sent_tags = List.map fst sent in
-  List.iter
-    (fun (tag, loc) ->
-      if not (List.mem tag declared_tags) then
-        emit Lint.Protocol loc
-          (Printf.sprintf
-             "tag %S is sent but appears in no [@@dynlint.tag_universe] declaration: no handler owns it"
-             tag))
-    sent;
-  List.iter
-    (fun (tag, loc, from_function) ->
-      if (not from_function) && not (List.mem tag sent_tags) then
-        emit Lint.Protocol loc
-          (Printf.sprintf
-             "declared tag %S is never sent: dead handler arm or stale universe entry"
-             tag))
-    declared
+      scan_structure ~emit u.ui_str)
+    units
 
 (* D11 over the same units: harvest every [@@dynlint.zero_alloc] summary,
    then verify each checked one against the trusted table formed by all of
-   them (cross-module, like D8's universe). *)
+   them, so cross-module calls resolve whatever the scan order. *)
 let alloc_units ~emitter units =
   let summaries =
     List.concat_map
@@ -483,4 +363,4 @@ let lint_cmt_files ?allow ?tracker ?source_root cmts =
   Lint.emitter_findings emitter
 
 let lint_cmt_dirs ?allow ?tracker ?source_root dirs =
-  lint_cmt_files ?allow ?tracker ?source_root (collect_cmt_files dirs)
+  lint_cmt_files ?allow ?tracker ?source_root (Cmt_load.collect_cmt_files dirs)

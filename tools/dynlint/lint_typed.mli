@@ -1,6 +1,5 @@
-(** The typedtree pass: D7 (parallel-race), D8 (protocol-conformance),
-    D9 (rng-taint) and D11 (zero-alloc) over the [.cmt] files that
-    [dune build @check] produces.
+(** The typedtree pass: D7 (parallel-race), D9 (rng-taint) and D11
+    (zero-alloc) over the [.cmt] files that [dune build @check] produces.
 
     - [D7]: a closure passed to [Pool.map]/[Pool.run]/[Pool.iter]/
       [Explore.sweep] captures a value of mutable type ([ref], [Hashtbl.t],
@@ -13,21 +12,6 @@
       visited set guarding cycles. Limitation: only idents let-bound in
       the same compilation unit are chased; a closure imported from
       another unit is not.
-    - [D8]: the string literals flowing into [Net.send ~tag:] (collected
-      recursively from the labelled argument, so helper calls like
-      [tag t "agent-up"] count), plus {e direct} string-literal arguments
-      of the intern boundary ([Net.intern_tag] / [Tag.intern]), are
-      compared globally against the literals declared under any [let]
-      binding carrying the [[@@dynlint.tag_universe]] attribute.
-      Sent-but-undeclared tags are reported at the send or intern literal;
-      declared-but-never-sent tags (dead arms) at the declaration literal.
-      When the attributed binding is a {e function} — a variant renderer
-      like [let suffix_to_string = function Agent_up -> "agent-up" | ...]
-      — the dead-arm direction is skipped: match exhaustiveness and the
-      unused-constructor warning already make it a compiler guarantee, so
-      D8 shrinks to the string boundary. Computed intern arguments (the
-      [name ^ "-" ^ suffix_to_string s] joins) are deliberately out of
-      scope: the renderer's arms {e are} the universe.
     - [D9]: an [Rng.t] bound at module level (including nested modules), or
       read from another module's value, is flagged; generators must flow
       from function parameters or a local [Rng.create ~seed]. A module-
@@ -39,8 +23,7 @@
       allocation-free by {!Lint_alloc}. The sweep over the cmts collects
       per-unit summaries (check and assume alike), and verification runs
       once all units are in, so cross-module calls between annotated
-      functions resolve regardless of scan order — the same global shape
-      as D8's universe table.
+      functions resolve regardless of scan order.
 
     Path and type heads are matched by suffix on "__"-split components, so
     wrapped libraries ([Mylib__Pool.map]) and module aliases both match.
@@ -49,13 +32,8 @@
     comments as the parsetree pass; pass the shared {!Lint.tracker} so D10
     staleness accounting covers both passes. *)
 
-val collect_cmt_files : string list -> string list
-(** Alias of {!Cmt_load.collect_cmt_files}, kept for callers predating the
-    shared loader. *)
-
 val scan_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
-(** D7/D8/D9 over preloaded units: per-unit scans, then the global D8
-    sent-versus-declared comparison. Touches every unit's source through
+(** D7 and D9 over preloaded units. Touches every unit's source through
     the emitter so finding-free files still register their inline allow
     sites for D10. *)
 
@@ -70,7 +48,7 @@ val lint_cmt_files :
   ?source_root:string ->
   string list ->
   Lint.finding list
-(** Run D7/D8/D9/D11 over the given [.cmt] files. Units are deduplicated by
+(** Run D7/D9/D11 over the given [.cmt] files. Units are deduplicated by
     source file; interfaces, packed modules and generated ([.ml-gen])
     units are skipped, as are unreadable cmts. [source_root] (default
     ["."]) prefixes the workspace-relative source paths recorded in the
@@ -84,4 +62,4 @@ val lint_cmt_dirs :
   ?source_root:string ->
   string list ->
   Lint.finding list
-(** {!collect_cmt_files} composed with {!lint_cmt_files}. *)
+(** {!Cmt_load.collect_cmt_files} composed with {!lint_cmt_files}. *)

@@ -1,10 +1,8 @@
 (* SARIF 2.1.0 rendering for dynlint findings.
 
    Hand-rolled JSON (the tool stays dependency-free beyond compiler-libs):
-   one run, one driver, the full D1-D13 rule table (so ruleIndex is stable
-   whether or not a rule fired), one result per finding. A finding's
-   [related] entries (D12's acquire-site <-> leak-path links, D13's
-   universe <-> orphan links) become SARIF relatedLocations. Columns are
+   one run, one driver, the full rule table (so ruleIndex is stable
+   whether or not a rule fired), one result per finding. Columns are
    1-based per the SARIF spec; dynlint's text output is 0-based, so
    startColumn = col + 1. *)
 
@@ -77,25 +75,7 @@ let render findings =
       str f.msg;
       raw "}, \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": ";
       str f.file;
-      raw (Printf.sprintf "}, \"region\": {\"startLine\": %d, \"startColumn\": %d}}}]" f.line (f.col + 1));
-      if f.related <> [] then begin
-        raw ", \"relatedLocations\": [";
-        List.iteri
-          (fun j (r : Lint.related) ->
-            if j > 0 then raw ", ";
-            raw "{\"physicalLocation\": {\"artifactLocation\": {\"uri\": ";
-            str r.r_file;
-            raw
-              (Printf.sprintf
-                 "}, \"region\": {\"startLine\": %d, \"startColumn\": %d}}, \
-                  \"message\": {\"text\": "
-                 r.r_line (r.r_col + 1));
-            str r.r_msg;
-            raw "}}")
-          f.related;
-        raw "]"
-      end;
-      raw "}";
+      raw (Printf.sprintf "}, \"region\": {\"startLine\": %d, \"startColumn\": %d}}}]}" f.line (f.col + 1));
       if i < List.length findings - 1 then raw ",";
       raw "\n")
     findings;

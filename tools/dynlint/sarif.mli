@@ -1,7 +1,7 @@
 (** SARIF 2.1.0 output for dynlint findings, so CI can publish them as PR
     annotations via the standard SARIF upload action.
 
-    One run, driver "dynlint", with the full D1-D10 rule table (stable
+    One run, driver "dynlint", with the full rule table (stable
     [ruleIndex] regardless of which rules fired) and one [error]-level
     result per finding. Regions use 1-based columns as the spec requires
     (dynlint's text output is 0-based).

@@ -1,8 +1,7 @@
 (* dynlint's own test suite: a fixture corpus with one bad + one
    allow-annotated file per rule, exact rule-id assertions, the allow-file
-   and context gates, the typed (cmt) fixtures for D7/D8/D9 and
-   D11/D12/D13, the D13 graph artifact (DOT + JSON round-trip), SARIF
-   output with relatedLocations, stale-suppression reporting, rule-table
+   and context gates, the typed (cmt) fixtures for D7/D9/D11, SARIF
+   output, stale-suppression and unknown-vocabulary reporting, rule-table
    sync across --rules / SARIF / DESIGN.md, and clean-tree silence on the
    repo's lib/ under every pass. *)
 
@@ -95,7 +94,7 @@ let test_report_format () =
   | [] -> Alcotest.fail "d1_bad.ml should have findings"
 
 (* ---------------------------------------------------------------- *)
-(* Typed (cmt) pass: D7/D8/D9 over the fixtures_typed mini-projects.
+(* Typed (cmt) passes: D7/D9/D11 over the fixtures_typed mini-projects.
    Each fixture is a real dune library; its cmts live under .objs in the
    test's own build directory. *)
 
@@ -127,38 +126,6 @@ let test_d7_cross_module () =
         (contains f.Lint.msg "Shared.total")
   | fs ->
       Alcotest.failf "d7_cross: expected exactly 1 finding, got %d"
-        (List.length fs)
-
-let test_d8 () =
-  (match typed_findings "d8_bad" with
-  | [ dead; rogue ] ->
-      check_ids "d8_bad ids" [ "D8"; "D8" ]
-        [ Lint.rule_id dead.Lint.rule; Lint.rule_id rogue.Lint.rule ];
-      (* the universe lives in protocol.ml, the rogue send in sender.ml:
-         the comparison is cross-module by construction *)
-      Alcotest.(check bool) "dead arm reported at its declaration" true
-        (contains dead.Lint.file "protocol.ml" && contains dead.Lint.msg "dead-arm");
-      Alcotest.(check bool) "rogue send reported at its literal" true
-        (contains rogue.Lint.file "sender.ml" && contains rogue.Lint.msg "rogue")
-  | fs ->
-      Alcotest.failf "d8_bad: expected exactly 2 findings, got %d"
-        (List.length fs));
-  check_ids "d8_allow" [] (typed_ids "d8_allow")
-
-let test_d8_variant () =
-  (* a variant-form universe: the unused "pong" arm is the compiler's
-     business (no dead-arm finding), while the hand-rolled literal at the
-     intern boundary must still be flagged as rogue *)
-  match typed_findings "d8_variant" with
-  | [ rogue ] ->
-      Alcotest.(check string) "rule" "D8" (Lint.rule_id rogue.Lint.rule);
-      Alcotest.(check bool) "rogue intern literal flagged at its site" true
-        (contains rogue.Lint.file "sender.ml"
-        && contains rogue.Lint.msg "rogue-intern");
-      Alcotest.(check bool) "no dead-arm finding for the unused arm" false
-        (contains rogue.Lint.msg "pong")
-  | fs ->
-      Alcotest.failf "d8_variant: expected exactly 1 finding, got %d"
         (List.length fs)
 
 let test_d9 () =
@@ -239,210 +206,39 @@ let test_d11_allow () =
       Alcotest.failf "d11_allow: expected exactly 1 stale finding, got %d"
         (List.length fs)
 
-(* ---------------------------------------------------------------- *)
-(* D12 (pool discipline) and D13 (message flow) run through the shared
-   emitter over a shared unit list, the same wiring the driver uses. *)
-
-let fixture_units dir = Cmt_load.load_dirs [ "fixtures_typed/" ^ dir ]
-
-let pool_findings ?tracker dir =
-  let emitter = Lint.make_emitter ?tracker ~source_root:"../../.." () in
-  Lint_pool.lint_units ~emitter (fixture_units dir);
-  Lint.emitter_findings emitter
-
-let flow_run ?tracker dir =
-  let emitter = Lint.make_emitter ?tracker ~source_root:"../../.." () in
-  let g = Lint_flow.lint_units ~emitter (fixture_units dir) in
-  (Lint.emitter_findings emitter, g)
-
-let flow_findings ?tracker dir = fst (flow_run ?tracker dir)
-
-let test_d12 () =
-  let findings = pool_findings "d12_bad" in
-  check_ids "d12_bad" [ "D12"; "D12"; "D12"; "D12"; "D12"; "D12" ]
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
-  let has sub = List.exists (fun f -> contains f.Lint.msg sub) findings in
-  (* one spot-check per violation class, in fixture order *)
-  Alcotest.(check bool) "branch leak" true (has "not released on every path");
-  Alcotest.(check bool) "exception-path leak" true
-    (has "leaks if this scope raises");
-  Alcotest.(check bool) "double release" true (has "already consumed");
-  Alcotest.(check bool) "container escape" true
-    (has "escapes into the heap-allocated constructor");
-  Alcotest.(check bool) "closure escape" true (has "closure that may outlive");
-  Alcotest.(check bool) "dropped acquire" true (has "is dropped");
-  (* all findings are in the fixture's user module, none in the pool stub *)
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "located in user.ml" true
-        (contains f.Lint.file "d12_bad/user.ml"))
-    findings;
-  check_ids "d12_good" []
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) (pool_findings "d12_good"));
-  check_ids "d12_allow" []
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) (pool_findings "d12_allow"))
-
-let test_d12_related () =
-  (* every D12 finding on a bound value carries a related location tying
-     the report back to the acquire site (or, for exception-path leaks
-     reported at the acquire, forward to the raise site); the drop finding
-     is self-contained — it IS the acquire site *)
-  List.iter
-    (fun (f : Lint.finding) ->
-      match f.related with
-      | [] when contains f.Lint.msg "is dropped" -> ()
-      | [] -> Alcotest.failf "finding at line %d has no related location" f.line
-      | r :: _ ->
-          Alcotest.(check bool) "related stays in the fixture" true
-            (contains r.Lint.r_file "d12_bad/");
-          Alcotest.(check bool) "related message is meaningful" true
-            (contains r.Lint.r_msg "acquired here"
-            || contains r.Lint.r_msg "still held"))
-    (pool_findings "d12_bad")
-
-let test_d13 () =
-  let findings, g = flow_run "d13_bad" in
-  (match findings with
-  | [ orphan; unreceivable; unresolved ] ->
-      check_ids "d13_bad ids" [ "D13"; "D13"; "D13" ]
-        [
-          Lint.rule_id orphan.Lint.rule;
-          Lint.rule_id unreceivable.Lint.rule;
-          Lint.rule_id unresolved.Lint.rule;
-        ];
-      (* the orphan arm is reported at its declaration, linked to the
-         universe; the unreceivable tag at its (first) send site, linked
-         to the arm *)
-      Alcotest.(check bool) "orphan at the arm" true
-        (contains orphan.Lint.file "protocol.ml"
-        && contains orphan.Lint.msg "Orphan_arm"
-        && contains orphan.Lint.msg "no Net.send site");
-      Alcotest.(check bool) "orphan links the universe" true
-        (match orphan.Lint.related with
-        | r :: _ -> contains r.Lint.r_file "protocol.ml"
-        | [] -> false);
-      Alcotest.(check bool) "unreceivable at the send" true
-        (contains unreceivable.Lint.file "sender.ml"
-        && contains unreceivable.Lint.msg "Pong"
-        && contains unreceivable.Lint.msg "no reachable receiver");
-      Alcotest.(check bool) "unreceivable links the arm" true
-        (match unreceivable.Lint.related with
-        | r :: _ -> contains r.Lint.r_file "protocol.ml"
-        | [] -> false);
-      Alcotest.(check bool) "opaque tag at the send" true
-        (contains unresolved.Lint.file "sender.ml"
-        && contains unresolved.Lint.msg "no declared tag-universe constructor")
-  | fs ->
-      Alcotest.failf "d13_bad: expected exactly 3 findings, got %d"
-        (List.length fs));
-  (* the graph is still reconstructed around the findings *)
-  (match g.Lint_flow.g_universes with
-  | [ u ] ->
-      Alcotest.(check string) "universe key" "Protocol.suffix"
-        u.Lint_flow.u_key;
-      Alcotest.(check (list string)) "arms with their wire strings"
-        [ "Ping=ping"; "Pong=pong"; "Orphan_arm=orphan" ]
-        (List.map
-           (fun (a : Lint_flow.arm) ->
-             a.a_ctor ^ "=" ^ Option.value ~default:"?" a.a_wire)
-           u.Lint_flow.u_arms)
-  | us -> Alcotest.failf "expected 1 universe, got %d" (List.length us));
-  (match
-     List.map
-       (fun (e : Lint_flow.edge) ->
-         (e.e_ctor, e.e_sender, e.e_receiver))
-       g.Lint_flow.g_edges
-   with
-  | [ ("Ping", "Sender.ping", Some "k_ping"); ("Pong", "Sender.pong", None) ]
-    ->
-      ()
-  | es -> Alcotest.failf "unexpected edge list (%d edges)" (List.length es));
-  check_ids "d13_good" []
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) (flow_findings "d13_good"));
-  check_ids "d13_allow" []
-    (List.map (fun f -> Lint.rule_id f.Lint.rule) (flow_findings "d13_allow"))
-
-let test_d12_d13_allow_not_stale () =
-  (* the inline allows in the allow fixtures suppress something, so the
-     D10 staleness pass must not report them *)
+(* The D12/D13 passes are retired: an inline allow or an attribute left
+   over from them suppresses nothing and is reported by D10. *)
+let test_retired_allow () =
   let tracker = Lint.new_tracker () in
-  check_ids "d12_allow suppressed" []
-    (List.map
-       (fun f -> Lint.rule_id f.Lint.rule)
-       (pool_findings ~tracker "d12_allow"));
-  check_ids "d13_allow suppressed" []
-    (List.map
-       (fun f -> Lint.rule_id f.Lint.rule)
-       (flow_findings ~tracker "d13_allow"));
-  let scope =
-    function Lint.Pool_discipline | Lint.Message_flow -> true | _ -> false
+  let findings =
+    Lint.lint_file ~tracker ~ctx:lib_ctx "fixtures/retired_allow.ml"
   in
-  Alcotest.(check int) "used inline allows are not stale" 0
+  (* the message-flow allow does not hide the print on its line *)
+  check_ids "retired allows suppress nothing" [ "D10"; "D10"; "D6"; "D10" ]
+    (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
+  Alcotest.(check (list int)) "finding lines" [ 3; 4; 9; 10 ]
+    (List.map (fun f -> f.Lint.line) findings);
+  (match Lint.stale_findings ~allow:Lint.no_allow tracker with
+  | [ pool; flow ] ->
+      check_ids "both are D10" [ "D10"; "D10" ]
+        [ Lint.rule_id pool.Lint.rule; Lint.rule_id flow.Lint.rule ];
+      Alcotest.(check int) "pool-discipline line" 6 pool.Lint.line;
+      Alcotest.(check bool) "pool-discipline named" true
+        (contains pool.Lint.msg "allow pool-discipline\" names no dynlint rule");
+      Alcotest.(check int) "message-flow line" 9 flow.Lint.line;
+      Alcotest.(check bool) "message-flow named" true
+        (contains flow.Lint.msg "allow message-flow\" names no dynlint rule")
+  | fs ->
+      Alcotest.failf "retired_allow.ml: expected exactly 2 stale findings, got [%s]"
+        (String.concat "; " (List.map Lint.finding_to_string fs)));
+  (* a run that does not include D10 leaves unknown names alone *)
+  let d11_only = function Lint.Zero_alloc -> true | _ -> false in
+  Alcotest.(check int) "unknown names need D10 in scope" 0
     (List.length
-       (Lint.stale_findings ~in_scope:scope ~allow:Lint.no_allow tracker))
-
-let test_d13_graph_roundtrip () =
-  let g = Lint_flow.build (fixture_units "d13_bad") in
-  (match Lint_flow.of_json (Lint_flow.to_json g) with
-  | Ok g' ->
-      Alcotest.(check bool) "JSON round-trip is the identity" true (g = g')
-  | Error m -> Alcotest.failf "of_json failed: %s" m);
-  (match Lint_flow.of_json "{\"universes\": [" with
-  | Ok _ -> Alcotest.fail "truncated JSON must not parse"
-  | Error _ -> ());
-  let dot = Lint_flow.to_dot g in
-  Alcotest.(check bool) "dot draws the orphan arm" true
-    (contains dot "Orphan_arm");
-  Alcotest.(check bool) "dot wires sender to tag" true
-    (contains dot "\"Sender.ping\" -> \"Protocol.suffix.Ping\"");
-  Alcotest.(check bool) "dot marks the dropped continuation" true
-    (contains dot "-> \"dropped\"")
-
-let test_graph_real_lib () =
-  (* the acceptance bar for the artifact: built over the repo's own lib/,
-     the graph lists every constructor of every declared tag universe,
-     every send is received, and the JSON form round-trips losslessly *)
-  let g = Lint_flow.build (Cmt_load.load_dirs [ "../../../lib" ]) in
-  (match g.Lint_flow.g_universes with
-  | [ u ] ->
-      Alcotest.(check string) "universe key" "Dist.suffix" u.Lint_flow.u_key;
-      Alcotest.(check (list string)) "every constructor listed"
-        [
-          "Agent_down";
-          "Agent_reject";
-          "Agent_release";
-          "Agent_return";
-          "Agent_unlock";
-          "Agent_up";
-          "Reject_wave";
-        ]
-        (List.sort compare
-           (List.map
-              (fun (a : Lint_flow.arm) -> a.a_ctor)
-              u.Lint_flow.u_arms))
-  | us -> Alcotest.failf "expected exactly 1 universe, got %d" (List.length us));
-  Alcotest.(check bool) "every constructor has a send site" true
-    (List.for_all
-       (fun (u : Lint_flow.universe) ->
-         List.for_all
-           (fun (a : Lint_flow.arm) ->
-             List.exists
-               (fun (e : Lint_flow.edge) ->
-                 e.e_universe = u.u_key && e.e_ctor = a.a_ctor)
-               g.Lint_flow.g_edges)
-           u.u_arms)
-       g.Lint_flow.g_universes);
-  Alcotest.(check bool) "every send has a live receiver" true
-    (List.for_all
-       (fun (e : Lint_flow.edge) -> e.e_receiver <> None)
-       g.Lint_flow.g_edges);
-  match Lint_flow.of_json (Lint_flow.to_json g) with
-  | Ok g' ->
-      Alcotest.(check bool) "real graph round-trips through JSON" true (g = g')
-  | Error m -> Alcotest.failf "of_json failed on the real graph: %s" m
+       (Lint.stale_findings ~in_scope:d11_only ~allow:Lint.no_allow tracker))
 
 (* ---------------------------------------------------------------- *)
-(* D10: stale-suppression reporting. *)
+(* D10: stale-suppression and unknown-vocabulary reporting. *)
 
 let test_stale_allow () =
   let allow = Lint.load_allow_file "fixtures/stale.allow" in
@@ -452,15 +248,28 @@ let test_stale_allow () =
     (List.map
        (fun f -> Lint.rule_id f.Lint.rule)
        (Lint.lint_file ~allow ~tracker ~ctx:lib_ctx "fixtures/d4_bad.ml"));
-  (* ... and the used inline comment in stale_inline.ml *)
-  check_ids "inline still suppresses" []
-    (List.map
-       (fun f -> Lint.rule_id f.Lint.rule)
-       (Lint.lint_file ~allow ~tracker ~ctx:lib_ctx "fixtures/stale_inline.ml"));
+  (* ... and the used inline comment in stale_inline.ml, whose only
+     findings are its two [@@dynlint.*] attributes that name nothing
+     dynlint checks: the misspelt one would otherwise switch D11 off *)
+  (match
+     Lint.lint_file ~allow ~tracker ~ctx:lib_ctx "fixtures/stale_inline.ml"
+   with
+  | [ typo; leftover ] ->
+      check_ids "unknown attributes are D10" [ "D10"; "D10" ]
+        [ Lint.rule_id typo.Lint.rule; Lint.rule_id leftover.Lint.rule ];
+      Alcotest.(check int) "typo line" 8 typo.Lint.line;
+      Alcotest.(check bool) "typo named" true
+        (contains typo.Lint.msg "dynlint.zero_aloc");
+      Alcotest.(check int) "leftover line" 9 leftover.Lint.line;
+      Alcotest.(check bool) "leftover named" true
+        (contains leftover.Lint.msg "dynlint.pool_acquire")
+  | fs ->
+      Alcotest.failf "stale_inline.ml: expected exactly 2 findings, got [%s]"
+        (String.concat "; " (List.map Lint.finding_to_string fs)));
   (match Lint.stale_findings ~allow tracker with
-  | [ entry; inline ] ->
-      check_ids "both are D10" [ "D10"; "D10" ]
-        [ Lint.rule_id entry.Lint.rule; Lint.rule_id inline.Lint.rule ];
+  | [ entry; inline; unknown ] ->
+      check_ids "all are D10" [ "D10"; "D10"; "D10" ]
+        (List.map (fun f -> Lint.rule_id f.Lint.rule) [ entry; inline; unknown ]);
       (* the dead entry, at its line in the allow file; the pinned
          never-matching entry is exempt *)
       Alcotest.(check string) "entry file" "fixtures/stale.allow" entry.Lint.file;
@@ -468,13 +277,18 @@ let test_stale_allow () =
       Alcotest.(check bool) "entry named" true (contains entry.Lint.msg "never_matches.ml");
       (* the dead inline comment on line 1 (line 3's suppressed a D6) *)
       Alcotest.(check string) "inline file" "fixtures/stale_inline.ml" inline.Lint.file;
-      Alcotest.(check int) "inline line" 1 inline.Lint.line
+      Alcotest.(check int) "inline line" 1 inline.Lint.line;
+      (* an inline allow naming no rule (here a retired one) is reported,
+         not ignored *)
+      Alcotest.(check int) "unknown line" 5 unknown.Lint.line;
+      Alcotest.(check bool) "unknown named" true
+        (contains unknown.Lint.msg "allow pool-discipline\" names no dynlint rule")
   | fs ->
-      Alcotest.failf "expected exactly 2 stale findings, got %d"
+      Alcotest.failf "expected exactly 3 stale findings, got %d"
         (List.length fs));
   (* a typed-only run must not call parsetree-rule suppressions stale *)
   let typed_only =
-    function Lint.Parallel_race | Lint.Protocol | Lint.Rng_taint -> true | _ -> false
+    function Lint.Parallel_race | Lint.Rng_taint -> true | _ -> false
   in
   Alcotest.(check int) "out-of-scope suppressions are not stale" 0
     (List.length (Lint.stale_findings ~in_scope:typed_only ~allow tracker))
@@ -499,11 +313,15 @@ let test_rules_table_sync () =
       Alcotest.(check bool) (id ^ " row in DESIGN.md") true
         (contains design ("| " ^ id ^ " | `" ^ name ^ "` |")))
     Lint.all_rules;
-  (* the new generation is owned by its own passes, and --rules says so *)
-  Alcotest.(check string) "D12 owned by the pool pass" "pool"
-    (Lint.rule_pass Lint.Pool_discipline);
-  Alcotest.(check string) "D13 owned by the flow pass" "flow"
-    (Lint.rule_pass Lint.Message_flow)
+  (* retired ids stay retired: reusing one would give old SARIF
+     fingerprints a new meaning *)
+  List.iter
+    (fun id ->
+      Alcotest.(check bool) (id ^ " not in --rules table") false
+        (contains table ("\n" ^ id ^ " "));
+      Alcotest.(check bool) (id ^ " not in SARIF rule table") false
+        (contains sarif ("\"id\": \"" ^ id ^ "\"")))
+    [ "D8"; "D12"; "D13" ]
 
 (* ---------------------------------------------------------------- *)
 (* The installed executable: --rules output, and the hard error on a
@@ -538,45 +356,12 @@ let test_exe_time_budget () =
   in
   Alcotest.(check int) "blown budget is exit 3" 3 rc
 
-let test_exe_graph_needs_cmt () =
-  let rc =
-    Sys.command
-      (Printf.sprintf
-         "%s --graph never_written.dot fixtures > /dev/null 2> /dev/null" exe)
-  in
-  Alcotest.(check int) "--graph without --cmt is exit 2" 2 rc;
-  Alcotest.(check bool) "no artifact was written" false
-    (Sys.file_exists "never_written.dot")
-
-let test_exe_graph_artifact () =
-  let dot = Filename.temp_file "dynlint_graph" ".dot" in
-  let json = Filename.temp_file "dynlint_graph" ".json" in
-  let rc =
-    Sys.command
-      (Printf.sprintf
-         "%s --cmt fixtures_typed/d13_good --graph %s --graph %s > /dev/null \
-          2> /dev/null"
-         exe (Filename.quote dot) (Filename.quote json))
-  in
-  Alcotest.(check int) "clean fixture exits 0" 0 rc;
-  let d = read_file dot and j = read_file json in
-  Sys.remove dot;
-  Sys.remove json;
-  Alcotest.(check bool) "dot artifact lists both tags" true
-    (contains d "Protocol.suffix.Ping" && contains d "Protocol.suffix.Pong");
-  match Lint_flow.of_json j with
-  | Ok g ->
-      Alcotest.(check int) "json artifact has both edges" 2
-        (List.length g.Lint_flow.g_edges)
-  | Error m -> Alcotest.failf "artifact JSON unreadable: %s" m
-
 (* ---------------------------------------------------------------- *)
 (* SARIF output. *)
 
-(* One finding source per typed generation: D8 (no related locations),
-   D12 and D13 (both carry relatedLocations). *)
+(* One finding source per typed rule: D7, D9 and D11. *)
 let golden_findings () =
-  typed_findings "d8_bad" @ pool_findings "d12_bad" @ flow_findings "d13_bad"
+  typed_findings "d7_bad" @ typed_findings "d9_bad" @ typed_findings "d11_cross"
 
 (* Regenerate with
      DYNLINT_REGEN_GOLDEN=1 dune build @tools/dynlint/runtest
@@ -638,33 +423,9 @@ let test_sarif_structure () =
         (Digest.to_hex
            (Digest.string
               (String.concat "\x00" [ Lint.rule_id f.rule; f.file; f.msg ])))
-        fp;
-      (* a finding's related list surfaces one-to-one as relatedLocations *)
-      match f.related with
-      | [] -> ()
-      | rels ->
-          let jrels =
-            as_list "relatedLocations" (J.member "relatedLocations" r)
-          in
-          Alcotest.(check int) "relatedLocations arity" (List.length rels)
-            (List.length jrels);
-          List.iter2
-            (fun jr (rel : Lint.related) ->
-              let ploc = J.member "physicalLocation" jr in
-              Alcotest.(check string) "related uri" rel.Lint.r_file
-                (J.to_str (J.member "uri" (J.member "artifactLocation" ploc)));
-              let region = J.member "region" ploc in
-              Alcotest.(check int) "related startLine" rel.Lint.r_line
-                (J.to_int (J.member "startLine" region));
-              Alcotest.(check int) "related startColumn" (rel.Lint.r_col + 1)
-                (J.to_int (J.member "startColumn" region));
-              Alcotest.(check string) "related message" rel.Lint.r_msg
-                (J.to_str (J.member "text" (J.member "message" jr))))
-            jrels rels)
-    results findings;
-  (* the combined corpus really exercises the relatedLocations path *)
-  Alcotest.(check bool) "some finding carries relatedLocations" true
-    (List.exists (fun (f : Lint.finding) -> f.related <> []) findings)
+        fp)
+    results findings
+
 
 (* ---------------------------------------------------------------- *)
 (* The real tree must stay silent under both passes: same invocation
@@ -682,22 +443,8 @@ let test_clean_tree_typed () =
   let findings =
     Lint_typed.lint_cmt_dirs ~allow ~source_root:"../../.." [ "../../../lib" ]
   in
-  (* D8's dead-arm side needs the senders in scope, and lib/ is where both
-     the universe and every sender live, so lib-only is a complete check *)
   Alcotest.(check (list string)) "lib/ cmts are dynlint-clean" []
     (List.map Lint.finding_to_string findings)
-
-let test_clean_tree_pool_flow () =
-  (* the pool/flow sweep over the repo's own lib (the annotated Net/Dtree
-     pools, the Dist protocol) must be clean modulo the justified inline
-     allows, which the emitter resolves through source_root *)
-  let allow = Lint.load_allow_file "../../../dynlint.allow" in
-  let units = Cmt_load.load_dirs [ "../../../lib" ] in
-  let emitter = Lint.make_emitter ~allow ~source_root:"../../.." () in
-  Lint_pool.lint_units ~emitter units;
-  ignore (Lint_flow.lint_units ~emitter units);
-  Alcotest.(check (list string)) "lib/ is pool- and flow-clean" []
-    (List.map Lint.finding_to_string (Lint.emitter_findings emitter))
 
 let () =
   Alcotest.run "dynlint"
@@ -715,8 +462,6 @@ let () =
           Alcotest.test_case "parallel-race fixtures (D7)" `Quick test_d7;
           Alcotest.test_case "cross-module capture (D7)" `Quick
             test_d7_cross_module;
-          Alcotest.test_case "protocol conformance (D8)" `Quick test_d8;
-          Alcotest.test_case "variant universe (D8)" `Quick test_d8_variant;
           Alcotest.test_case "rng taint (D9)" `Quick test_d9;
           Alcotest.test_case "stale suppressions (D10)" `Quick
             test_stale_allow;
@@ -727,15 +472,8 @@ let () =
             test_d11_assume;
           Alcotest.test_case "inline allow + stale (D11)" `Quick
             test_d11_allow;
-          Alcotest.test_case "pool discipline (D12)" `Quick test_d12;
-          Alcotest.test_case "related locations (D12)" `Quick test_d12_related;
-          Alcotest.test_case "message flow (D13)" `Quick test_d13;
           Alcotest.test_case "inline allow + stale (D12/D13)" `Quick
-            test_d12_d13_allow_not_stale;
-          Alcotest.test_case "graph round-trip (D13)" `Quick
-            test_d13_graph_roundtrip;
-          Alcotest.test_case "graph over the real lib (D13)" `Quick
-            test_graph_real_lib;
+            test_retired_allow;
         ] );
       ( "gates",
         [
@@ -754,16 +492,10 @@ let () =
             test_exe_empty_cmt;
           Alcotest.test_case "exe enforces its time budget" `Quick
             test_exe_time_budget;
-          Alcotest.test_case "exe --graph needs --cmt" `Quick
-            test_exe_graph_needs_cmt;
-          Alcotest.test_case "exe --graph artifacts" `Quick
-            test_exe_graph_artifact;
           Alcotest.test_case "sarif golden" `Quick test_sarif_golden;
           Alcotest.test_case "sarif structure" `Quick test_sarif_structure;
           Alcotest.test_case "clean tree is silent" `Quick test_clean_tree;
           Alcotest.test_case "clean tree is silent (typed)" `Quick
             test_clean_tree_typed;
-          Alcotest.test_case "clean tree is silent (pool/flow)" `Quick
-            test_clean_tree_pool_flow;
         ] );
     ]
