@@ -108,9 +108,9 @@ let rows ctx items f =
           | None -> None
           | Some _ -> Some (Telemetry.Sink.create ~next_id:id_base ()));
         profile =
-          (match ctx.profile with
-          | None -> None
-          | Some _ -> Some (Telemetry.Profile.create ()));
+          Option.map
+            (fun p -> Telemetry.Profile.create ~clock:(Telemetry.Profile.clock p))
+            ctx.profile;
       }
     in
     let a0 = Gc.allocated_bytes () in

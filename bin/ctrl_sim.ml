@@ -229,8 +229,8 @@ let run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed
         (Stats.pretty_int (Dist_adaptive.overhead_messages da))
   | s -> invalid_arg ("unknown controller: " ^ s)
 
-let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs scheduler
-    metrics_out trace_out perfetto_out =
+let run_scenario verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs
+    scheduler metrics_out trace_out perfetto_out =
   setup_logs verbose;
   if seeds < 1 then invalid_arg "--seeds must be >= 1";
   let mix = mix_of mix_s in
@@ -267,6 +267,17 @@ let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs schedu
   dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes);
   0
 
+let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs scheduler
+    metrics_out trace_out perfetto_out =
+  if kind_s = "aaps" && mix_s <> "grow" then
+    (* the AAPS bins are keyed by exact depth, so that baseline models leaf
+       insertions only: refuse any other mix as a usage error *)
+    `Error (true, "--controller aaps supports only --mix grow (leaf insertions)")
+  else
+    `Ok
+      (run_scenario verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs
+         scheduler metrics_out trace_out perfetto_out)
+
 let run_cmd =
   let kind =
     Arg.(value & opt string "adaptive"
@@ -276,9 +287,9 @@ let run_cmd =
   let requests = Arg.(value & opt int 1000 & info [ "requests" ] ~doc:"number of requests") in
   Cmd.v
     (Cmd.info "run" ~doc:"run an (M,W)-controller on a generated scenario")
-    Term.(const run_main $ verbose_arg $ kind $ shape_arg $ mix_arg $ n0_arg $ requests
+    Term.(ret (const run_main $ verbose_arg $ kind $ shape_arg $ mix_arg $ n0_arg $ requests
           $ budget_arg $ waste_arg $ seed_arg $ seeds_arg $ jobs_arg $ scheduler_arg
-          $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg)
+          $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg))
 
 (* ------------------------------------------------------------------ *)
 (* size-est and names: the Section 5 protocols                         *)

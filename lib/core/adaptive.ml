@@ -94,9 +94,7 @@ let rotate t =
   | Some s ->
       Telemetry.Sink.event s ~time:t.ticks
         (Telemetry.Event.Epoch
-           { ctrl = "adaptive"; epoch = t.epochs; n = Dtree.size t.tree });
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter (Telemetry.Sink.metrics s) "ctrl_epochs_total"));
+           { ctrl = "adaptive"; epoch = t.epochs; n = Dtree.size t.tree }));
   t.inner <- new_inner t leftover
 
 let reject t =

@@ -33,8 +33,8 @@ val create :
   t
 (** [variant] defaults to [By_changes].
 
-    With a [telemetry] sink every epoch rotation records an [Epoch] event
-    (and the [ctrl_epochs_total] counter), and the inner iterated
+    With a [telemetry] sink every epoch rotation records an [Epoch] event,
+    and the inner iterated
     controller's {!Central} bases are built instrumented, so permit spans
     and package life-cycle events flow to the same sink. Event times are
     the running request count. *)

@@ -69,9 +69,6 @@ let emit t kind =
   | None -> ()
   | Some s -> Telemetry.Sink.event s ~time:!(t.ticks) kind
 
-let with_metrics t f =
-  match t.telemetry with None -> () | Some s -> f (Telemetry.Sink.metrics s)
-
 let store t v =
   (* exception form rather than [find_opt]: this lookup runs once per hop
      of every climb, and the [Some] the option form allocates per hop was
@@ -116,9 +113,7 @@ let reject_wave t =
           t.params.Params.m (leftover t) (Dtree.size t.tree));
     Dtree.iter_nodes t.tree ~f:(fun v -> Store.set_rejecting (store t v));
     t.moves <- t.moves + Dtree.size t.tree;
-    emit t (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root t.tree });
-    with_metrics t (fun m ->
-        Telemetry.Metrics.inc (Telemetry.Metrics.counter m "ctrl_reject_waves_total"))
+    emit t (Telemetry.Event.Reject_wave { ctrl = "central"; node = Dtree.root t.tree })
   end
 
 (* Apply a granted topological change. A deleted node first moves its
@@ -183,11 +178,6 @@ let rec proc t ~u pkg ~d_w =
     let p1, p2 = Package.split t.alloc pkg in
     t.hooks.on_package_event (Split { parent = pkg; left = p1; right = p2 });
     emit t (Telemetry.Event.Package_split { ctrl = "central"; level = k });
-    with_metrics t (fun m ->
-        Telemetry.Metrics.inc
-          (Telemetry.Metrics.counter m
-             ~labels:[ ("level", string_of_int k) ]
-             "pkg_splits_total"));
     Store.add_mobile (store t target) p1;
     with_tracker t (fun tr -> Domain_tracker.assign tr p1 ~host:target ~requester:u);
     proc t ~u p2 ~d_w:td
@@ -292,14 +282,7 @@ let request t op =
              outcome = outcome_s;
              submitted = aid;
              latency = 0;
+             moves = t.moves - moves_before;
            });
       if rooted then Telemetry.Sink.clear_ambient sink;
-      let m = Telemetry.Sink.metrics sink in
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter m
-           ~labels:[ ("ctrl", "central"); ("outcome", outcome_s) ]
-           "ctrl_requests_total");
-      Telemetry.Metrics.add
-        (Telemetry.Metrics.counter m "ctrl_moves_total")
-        (t.moves - moves_before);
       outcome

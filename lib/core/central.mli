@@ -68,13 +68,12 @@ val create :
     false) maintains the analysis domains for invariant checking.
 
     With a [telemetry] sink every request records a zero-latency
-    [Permit_span] event (the centralized controller is synchronous; event
-    times are the running request count) plus the
-    [ctrl_requests_total{ctrl,outcome}] and [ctrl_moves_total] counters, and
-    the package life cycle records [Package_created] / [Package_split] (with
-    the [pkg_splits_total{level}] counter) / [Package_static] /
-    [Package_join] and [Reject_wave] events. Without a sink no telemetry
-    code runs. *)
+    [Permit_span] event carrying the request's moves (the centralized
+    controller is synchronous; event times are the running request count),
+    and the package life cycle records [Package_created] / [Package_split] /
+    [Package_static] / [Package_join] and [Reject_wave] events. The sink
+    derives the [ctrl_*] and [pkg_*] metrics from them. Without a sink no
+    telemetry code runs. *)
 
 val request : t -> Workload.op -> Types.outcome
 (** Serve one request arriving at [Workload.request_site]. In [Report] mode

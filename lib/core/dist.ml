@@ -176,9 +176,6 @@ let emit t kind =
   | None -> ()
   | Some s -> Telemetry.Sink.event s ~time:(Net.now t.net) kind
 
-let with_metrics t f =
-  match Net.sink t.net with None -> () | Some s -> f (Telemetry.Sink.metrics s)
-
 let is_topological = function
   | Workload.Add_leaf _ | Workload.Remove_leaf _ | Workload.Add_internal _
   | Workload.Remove_internal _ ->
@@ -200,8 +197,6 @@ let start_wave t r =
         m "[%s] distributed reject wave from node %d: granted %d of M=%d"
           t.config.name r t.granted t.params.Params.m);
     emit t (Telemetry.Event.Reject_wave { ctrl = t.config.name; node = r });
-    with_metrics t (fun m ->
-        Telemetry.Metrics.inc (Telemetry.Metrics.counter m "ctrl_reject_waves_total"));
     let b = wb t r in
     b.reject <- true;
     touch_mem t r;
@@ -304,17 +299,8 @@ let finish t a outcome =
              outcome = outcome_s;
              submitted = a.t0;
              latency = now - a.t0;
-           });
-      let m = Telemetry.Sink.metrics s in
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter m
-           ~labels:[ ("ctrl", t.config.name); ("outcome", outcome_s) ]
-           "ctrl_requests_total");
-      Telemetry.Metrics.observe
-        (Telemetry.Metrics.histogram m
-           ~labels:[ ("ctrl", t.config.name) ]
-           "permit_latency_time")
-        (now - a.t0));
+             moves = 0;
+           }));
   a.k outcome
 
 (* Unlock [v] and, FIFO, resume waiting agents (local computation takes
@@ -505,11 +491,6 @@ let init_agent_ks t a =
         let b = wb t x in
         b.mobiles.(a.bag - 1) <- b.mobiles.(a.bag - 1) + 1;
         emit t (Telemetry.Event.Package_split { ctrl = t.config.name; level = a.bag });
-        with_metrics t (fun m ->
-            Telemetry.Metrics.inc
-              (Telemetry.Metrics.counter m
-                 ~labels:[ ("level", string_of_int a.bag) ]
-                 "pkg_splits_total"));
         a.bag <- a.bag - 1;
         touch_mem t x
       end;

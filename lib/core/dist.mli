@@ -44,12 +44,11 @@ val default_config : config
 val create : ?config:config -> params:Params.t -> net:Net.t -> unit -> t
 (** The tree is [Net.tree net]. Telemetry rides the network's sink
     ([Net.sink]): each request records a [Permit_span] event at its answer
-    (submit-to-answer latency in simulated time, also observed by the
-    [permit_latency_time{ctrl}] histogram and the
-    [ctrl_requests_total{ctrl,outcome}] counter), and the package life cycle
-    records [Package_created] / [Package_split] (plus
-    [pkg_splits_total{level}]) / [Package_static] / [Package_join] /
-    [Reject_wave] events tagged with the controller's [config.name]. *)
+    (submit-to-answer latency in simulated time), and the package life cycle
+    records [Package_created] / [Package_split] / [Package_static] /
+    [Package_join] / [Reject_wave] events tagged with the controller's
+    [config.name]. The sink derives the [ctrl_*] and [pkg_*] metrics from
+    them. *)
 
 type suffix =
   | Agent_down

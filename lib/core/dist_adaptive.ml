@@ -230,9 +230,7 @@ and rotate t =
   | None -> ()
   | Some s ->
       Telemetry.Sink.event s ~time:(Net.now t.net)
-        (Telemetry.Event.Epoch { ctrl = "dist-adaptive"; epoch = t.epochs + 1; n });
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter (Telemetry.Sink.metrics s) "ctrl_epochs_total"));
+        (Telemetry.Event.Epoch { ctrl = "dist-adaptive"; epoch = t.epochs + 1; n }));
   (* broadcast + upcast to count nodes and unused permits, plus the
      whiteboard-reset broadcast (Appendix A) *)
   t.overhead <- t.overhead + (5 * n);

@@ -28,14 +28,6 @@ let emit t kind =
   | None -> ()
   | Some s -> Telemetry.Sink.event s ~time:(t.clock ()) kind
 
-let note_tracked t =
-  match t.telemetry with
-  | None -> ()
-  | Some s ->
-      Telemetry.Metrics.set
-        (Telemetry.Metrics.gauge (Telemetry.Sink.metrics s) "domains_tracked")
-        (Hashtbl.length t.doms)
-
 let index_add t node pkg_id =
   let set =
     match Hashtbl.find_opt t.by_node node with
@@ -82,8 +74,7 @@ let assign t (p : Package.t) ~host ~requester =
   let nodes = !nodes in
   Hashtbl.replace t.doms p.id { level = p.level; nodes; host };
   List.iter (fun x -> index_add t x p.id) nodes;
-  emit t (Telemetry.Event.Domain_assign { level = p.level; size });
-  note_tracked t
+  emit t (Telemetry.Event.Domain_assign { level = p.level; size })
 
 let cancel t (p : Package.t) =
   match Hashtbl.find_opt t.doms p.id with
@@ -91,8 +82,7 @@ let cancel t (p : Package.t) =
   | Some d ->
       List.iter (fun x -> index_remove t x p.id) d.nodes;
       Hashtbl.remove t.doms p.id;
-      emit t (Telemetry.Event.Domain_cancel { level = d.level });
-      note_tracked t
+      emit t (Telemetry.Event.Domain_cancel { level = d.level })
 
 let host_moved t (p : Package.t) new_host =
   match Hashtbl.find_opt t.doms p.id with
@@ -129,13 +119,7 @@ let on_add_internal t ~new_node ~child =
           index_add t new_node id;
           drop_bottom_most_live t id d;
           emit t
-            (Telemetry.Event.Domain_resize { level = d.level; size = List.length d.nodes });
-          (match t.telemetry with
-          | None -> ()
-          | Some s ->
-              Telemetry.Metrics.inc
-                (Telemetry.Metrics.counter (Telemetry.Sink.metrics s)
-                   "domain_resizes_total")))
+            (Telemetry.Event.Domain_resize { level = d.level; size = List.length d.nodes }))
         ids
 
 let tracked t = Hashtbl.length t.doms

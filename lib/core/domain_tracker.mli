@@ -26,8 +26,8 @@ val create :
 (** With a [telemetry] sink the tracker records [Domain_assign] /
     [Domain_cancel] / [Domain_resize] events (timestamped by [clock], which
     defaults to the constant 0 — centralized controllers pass their request
-    tick), the [domains_tracked] gauge and the [domain_resizes_total]
-    counter. *)
+    tick), from which the sink derives the [domains_tracked] gauge and the
+    [domain_resizes_total] counter. *)
 
 val assign : t -> Package.t -> host:Dtree.node -> requester:Dtree.node -> unit
 (** Domain at formation (Case 2): the [domain_size] nodes strictly below

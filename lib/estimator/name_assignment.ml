@@ -135,11 +135,6 @@ and rotate t =
   t.epochs <- t.epochs + 1;
   emit t
     (Telemetry.Event.Epoch { ctrl = "names"; epoch = t.epochs; n = t.n_i });
-  (match Net.sink t.net with
-  | None -> ()
-  | Some s ->
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter (Telemetry.Sink.metrics s) "ctrl_epochs_total"));
   t.ctrl <- make_ctrl t.net t.n_i;
   t.rotating <- false;
   record_ratio t;

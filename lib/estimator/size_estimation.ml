@@ -122,11 +122,6 @@ and rotate t =
   emit t
     (Telemetry.Event.Estimate
        { ctrl = "size-est"; node = Dtree.root (tree t); value = n; truth = n });
-  (match Net.sink t.net with
-  | None -> ()
-  | Some s ->
-      Telemetry.Metrics.inc
-        (Telemetry.Metrics.counter (Telemetry.Sink.metrics s) "ctrl_epochs_total"));
   t.ctrl <- make_ctrl t.net n (alpha_budget t n);
   t.rotating <- false;
   let parked = Queue.create () in

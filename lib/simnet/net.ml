@@ -75,12 +75,6 @@ let create ?(seed = 0x5EED) ?(max_delay = 8) ?scheduler ?sink ~tree () =
   (match sink with
   | None -> ()
   | Some s ->
-      let m = Telemetry.Sink.metrics s in
-      Telemetry.Metrics.set
-        (Telemetry.Metrics.gauge m
-           ~labels:[ ("discipline", Scheduler.name discipline) ]
-           "net_scheduler_info")
-        1;
       Telemetry.Sink.event s ~time:0
         (Telemetry.Event.Sched { discipline = Scheduler.name discipline }));
   {
@@ -235,8 +229,8 @@ let pool_check t =
 (* Cold traced-send path: mint the message's span — a fresh id, parented
    on the ambient span (the delivery continuation or scheduled action
    issuing this send) and inheriting its trace, or rooting a fresh trace
-   when sent from outside any causal context — then emit the send metrics
-   and event against it. Only runs under a sink; sink-less sends store the
+   when sent from outside any causal context — then emit the send event
+   against it. Only runs under a sink; sink-less sends store the
    shared [no_ctx] constant, allocate nothing and consume no ids. *)
 let trace_send t s ~src ~exact ~node ~tag ~bits =
   let span = Telemetry.Sink.fresh_id s in
@@ -244,13 +238,6 @@ let trace_send t s ~src ~exact ~node ~tag ~bits =
   let trace = if parent < 0 then span else Telemetry.Sink.current_trace s in
   let ctx = { Telemetry.Event.trace; span; parent } in
   let tag_s = Tag.to_string t.tags tag in
-  let m = Telemetry.Sink.metrics s in
-  Telemetry.Metrics.inc (Telemetry.Metrics.counter m "net_messages_total");
-  Telemetry.Metrics.add (Telemetry.Metrics.counter m "net_bits_total") bits;
-  Telemetry.Metrics.inc
-    (Telemetry.Metrics.counter m ~labels:[ ("tag", tag_s) ]
-       "net_tag_messages_total");
-  Telemetry.Metrics.observe (Telemetry.Metrics.histogram m "net_message_bits") bits;
   let eaddr =
     if exact then Telemetry.Event.Exact node else Telemetry.Event.Parent_of node
   in
@@ -357,12 +344,6 @@ let trace_deliver t s ~ctx ~src ~target ~tag_i ~sseq ~forwarded ~reordered k =
          forwarded;
          reordered;
        });
-  let m = Telemetry.Sink.metrics s in
-  if forwarded then
-    Telemetry.Metrics.inc
-      (Telemetry.Metrics.counter m "net_forwarded_deliveries_total");
-  if reordered then
-    Telemetry.Metrics.inc (Telemetry.Metrics.counter m "net_reorders_total");
   let saved_trace = Telemetry.Sink.current_trace s in
   let saved_span = Telemetry.Sink.current_span s in
   Telemetry.Sink.set_ambient s ~trace:ctx.Telemetry.Event.trace

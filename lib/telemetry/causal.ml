@@ -308,39 +308,3 @@ let trace_count events =
       if Event.has_ctx e.ctx then Hashtbl.replace traces e.ctx.trace ())
     events;
   Hashtbl.length traces
-
-let phases events =
-  let tbl = Hashtbl.create 8 and rev = ref [] in
-  List.iter
-    (fun (e : Event.t) ->
-      match e.kind with
-      | Event.Phase { name; count; alloc_bytes; minor; major; top_heap_words; wall_ns }
-        ->
-          let cur =
-            match Hashtbl.find_opt tbl name with
-            | Some p -> p
-            | None ->
-                rev := name :: !rev;
-                {
-                  Profile.name;
-                  count = 0;
-                  alloc_bytes = 0;
-                  minor = 0;
-                  major = 0;
-                  top_heap_words = 0;
-                  wall_s = 0.0;
-                }
-          in
-          Hashtbl.replace tbl name
-            {
-              cur with
-              Profile.count = cur.Profile.count + count;
-              alloc_bytes = cur.Profile.alloc_bytes + alloc_bytes;
-              minor = cur.Profile.minor + minor;
-              major = cur.Profile.major + major;
-              top_heap_words = max cur.Profile.top_heap_words top_heap_words;
-              wall_s = cur.Profile.wall_s +. (float_of_int wall_ns /. 1e9);
-            }
-      | _ -> ())
-    events;
-  List.rev_map (Hashtbl.find tbl) !rev

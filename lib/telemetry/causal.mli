@@ -76,7 +76,3 @@ val discipline : Event.t list -> string option
 
 val trace_count : Event.t list -> int
 (** Number of distinct causal chains (trace ids) in the trace. *)
-
-val phases : Event.t list -> Profile.entry list
-(** [Event.Phase] totals aggregated by name, in first-appearance order
-    (counts/allocation/collections/wall add, peak heap takes the max). *)

@@ -26,6 +26,7 @@ type kind =
       outcome : string;
       submitted : int;
       latency : int;
+      moves : int;
     }
   | Package_created of { ctrl : string; level : int; size : int }
   | Package_split of { ctrl : string; level : int }
@@ -68,10 +69,11 @@ let to_json { time; ctx; kind } =
         [ ("ev", String "deliver"); ("src", Int src); ("dst", Int dst);
           ("tag", String tag); ("seq", Int seq); ("forwarded", Bool forwarded);
           ("reordered", Bool reordered) ]
-    | Permit_span { ctrl; node; aid; outcome; submitted; latency } ->
+    | Permit_span { ctrl; node; aid; outcome; submitted; latency; moves } ->
         [ ("ev", String "permit_span"); ("ctrl", String ctrl); ("node", Int node);
           ("aid", Int aid); ("outcome", String outcome); ("submitted", Int submitted);
           ("latency", Int latency) ]
+        @ if moves = 0 then [] else [ ("moves", Int moves) ]
     | Package_created { ctrl; level; size } ->
         [ ("ev", String "pkg_created"); ("ctrl", String ctrl); ("level", Int level);
           ("size", Int size) ]
@@ -121,7 +123,9 @@ let of_json j =
   let time = to_int (member "time" j) in
   let int k = to_int (member k j) in
   let str k = to_str (member k j) in
-  let opt_int k = match member k j with Null -> -1 | v -> to_int v in
+  let opt_int ?(absent = -1) k =
+    match member k j with Null -> absent | v -> to_int v
+  in
   let ctx =
     match opt_int "trace" with
     | -1 -> no_ctx
@@ -157,6 +161,7 @@ let of_json j =
             outcome = str "outcome";
             submitted = int "submitted";
             latency = int "latency";
+            moves = opt_int ~absent:0 "moves";
           }
     | "pkg_created" ->
         Package_created { ctrl = str "ctrl"; level = int "level"; size = int "size" }

@@ -53,6 +53,9 @@ type kind =
       outcome : string;  (** "granted" | "rejected" | "exhausted" *)
       submitted : int;  (** simulated submission time *)
       latency : int;  (** grant/reject time minus [submitted] *)
+      moves : int;
+          (** package moves the request cost; 0 (and absent from the JSON)
+              for the distributed controllers, whose cost is messages *)
     }
   | Package_created of { ctrl : string; level : int; size : int }
   | Package_split of { ctrl : string; level : int }

@@ -30,33 +30,40 @@ let rec compare_labels a b =
   | x :: xs, y :: ys -> (
       match compare_label x y with 0 -> compare_labels xs ys | c -> c)
 
-let normalize_labels labels = List.sort compare_label labels
+(* [List.sort] allocates its merge closures even for short lists, and
+   nearly every lookup has zero or one label *)
+let normalize_labels = function
+  | ([] | [ _ ]) as labels -> labels
+  | labels -> List.sort compare_label labels
 
-let register t ~labels ~help name make cast =
+(* The instrument registered under name/labels, created by [make] on first
+   use. Lookups allocate only the key. *)
+let register t ~labels ~help name make =
   let key = (name, normalize_labels labels) in
-  match Hashtbl.find_opt t.table key with
-  | Some r -> cast r.instrument
-  | None ->
+  match Hashtbl.find t.table key with
+  | r -> r.instrument
+  | exception Not_found ->
       let i = make () in
       Hashtbl.replace t.table key { help; instrument = i };
-      cast i
+      i
 
 let counter t ?(labels = []) ?help name =
-  register t ~labels ~help name
-    (fun () -> C { c = 0 })
-    (function C c -> c | _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter"))
+  match register t ~labels ~help name (fun () -> C { c = 0 }) with
+  | C c -> c
+  | G _ | H _ -> invalid_arg ("Metrics.counter: " ^ name ^ " is not a counter")
 
 let gauge t ?(labels = []) ?help name =
-  register t ~labels ~help name
-    (fun () -> G { g = 0 })
-    (function G g -> g | _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge"))
+  match register t ~labels ~help name (fun () -> G { g = 0 }) with
+  | G g -> g
+  | C _ | H _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge")
 
 let histogram t ?(labels = []) ?help name =
-  register t ~labels ~help name
-    (fun () -> H { buckets = Array.make bucket_count 0; count = 0; sum = 0 })
-    (function
-      | H h -> h
-      | _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram"))
+  match
+    register t ~labels ~help name (fun () ->
+        H { buckets = Array.make bucket_count 0; count = 0; sum = 0 })
+  with
+  | H h -> h
+  | C _ | G _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " is not a histogram")
 
 let inc c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n

@@ -1,10 +1,11 @@
-(* Phase-scoped GC/allocation probes. A profile is a named-phase table;
-   [run] brackets a stretch of work with [Gc.quick_stat]/[Gc.allocated_bytes]
-   readings and folds the deltas into the phase. All counters are read on the
-   calling domain, so under [Pool]-style parallelism each task profiles into
-   its own instance and the instances are {!merge}d afterwards — the same
-   contract as [Metrics]. Wall time only exists when a clock was injected at
-   creation (the library takes no ambient time). *)
+(* Phase-scoped GC/allocation probes. A profile is the list of its [run]
+   brackets, each one [Event.Phase] measurement (count 1); the per-phase
+   totals are a fold over that list, the same fold tracecat applies to the
+   Phase events of a saved trace. All counters are read on the calling
+   domain, so under [Pool]-style parallelism each task profiles into its own
+   instance and the instances are {!merge}d afterwards — the same contract
+   as [Metrics]. Wall time comes from the clock injected at creation (the
+   library takes no ambient time). *)
 
 type entry = {
   name : string;
@@ -16,88 +17,94 @@ type entry = {
   wall_s : float;
 }
 
-type phase = {
-  mutable p_count : int;
-  mutable p_alloc : float;
-  mutable p_minor : int;
-  mutable p_major : int;
-  mutable p_top_heap : int;
-  mutable p_wall : float;
-}
+(* A bracket's slot is pushed when it opens, so phases keep first-opened
+   order (an enclosing phase precedes the phases nested in it), and filled
+   with its measurement when it closes. *)
+type t = { clock : unit -> float; mutable rev_brackets : Event.kind ref list }
 
-type t = {
-  clock : (unit -> float) option;
-  tbl : (string, phase) Hashtbl.t;
-  mutable rev_order : string list;  (* first-recorded order, reversed *)
-}
+let create ~clock = { clock; rev_brackets = [] }
+let clock t = t.clock
 
-let create ?clock () = { clock; tbl = Hashtbl.create 8; rev_order = [] }
-
-let phase_of t name =
-  match Hashtbl.find_opt t.tbl name with
-  | Some p -> p
-  | None ->
-      let p =
-        {
-          p_count = 0;
-          p_alloc = 0.0;
-          p_minor = 0;
-          p_major = 0;
-          p_top_heap = 0;
-          p_wall = 0.0;
-        }
-      in
-      Hashtbl.add t.tbl name p;
-      t.rev_order <- name :: t.rev_order;
-      p
-
-let now t = match t.clock with Some c -> c () | None -> 0.0
+let ns seconds = int_of_float (Float.round (seconds *. 1e9))
 
 let run t ~name f =
-  let p = phase_of t name in
-  let w0 = now t in
+  let slot =
+    ref
+      (Event.Phase
+         {
+           name;
+           count = 0;
+           alloc_bytes = 0;
+           minor = 0;
+           major = 0;
+           top_heap_words = 0;
+           wall_ns = 0;
+         })
+  in
+  t.rev_brackets <- slot :: t.rev_brackets;
+  let w0 = t.clock () in
   let s0 = Gc.quick_stat () in
   let a0 = Gc.allocated_bytes () in
   Fun.protect
     ~finally:(fun () ->
       let a1 = Gc.allocated_bytes () in
       let s1 = Gc.quick_stat () in
-      p.p_count <- p.p_count + 1;
-      p.p_alloc <- p.p_alloc +. (a1 -. a0);
-      p.p_minor <- p.p_minor + (s1.Gc.minor_collections - s0.Gc.minor_collections);
-      p.p_major <- p.p_major + (s1.Gc.major_collections - s0.Gc.major_collections);
-      if s1.Gc.top_heap_words > p.p_top_heap then
-        p.p_top_heap <- s1.Gc.top_heap_words;
-      p.p_wall <- p.p_wall +. (now t -. w0))
+      slot :=
+        Event.Phase
+          {
+            name;
+            count = 1;
+            alloc_bytes = int_of_float (a1 -. a0);
+            minor = s1.Gc.minor_collections - s0.Gc.minor_collections;
+            major = s1.Gc.major_collections - s0.Gc.major_collections;
+            top_heap_words = s1.Gc.top_heap_words;
+            wall_ns = ns (t.clock () -. w0);
+          })
     f
 
-let entry_of t name =
-  let p = Hashtbl.find t.tbl name in
-  {
-    name;
-    count = p.p_count;
-    alloc_bytes = int_of_float p.p_alloc;
-    minor = p.p_minor;
-    major = p.p_major;
-    top_heap_words = p.p_top_heap;
-    wall_s = p.p_wall;
-  }
+let events t =
+  List.rev_map
+    (fun slot -> { Event.time = 0; ctx = Event.no_ctx; kind = !slot })
+    t.rev_brackets
 
-let names t = List.rev t.rev_order
-let entries t = List.map (entry_of t) (names t)
-
-let merge ~into t =
+let totals events =
+  let tbl = Hashtbl.create 8 and rev_names = ref [] in
   List.iter
-    (fun name ->
-      let src = Hashtbl.find t.tbl name in
-      let dst = phase_of into name in
-      dst.p_count <- dst.p_count + src.p_count;
-      dst.p_alloc <- dst.p_alloc +. src.p_alloc;
-      dst.p_minor <- dst.p_minor + src.p_minor;
-      dst.p_major <- dst.p_major + src.p_major;
-      if src.p_top_heap > dst.p_top_heap then dst.p_top_heap <- src.p_top_heap;
-      dst.p_wall <- dst.p_wall +. src.p_wall)
-    (names t)
+    (fun (e : Event.t) ->
+      match e.kind with
+      | Event.Phase { name; count; alloc_bytes; minor; major; top_heap_words; wall_ns }
+        ->
+          let cur =
+            match Hashtbl.find_opt tbl name with
+            | Some p -> p
+            | None ->
+                rev_names := name :: !rev_names;
+                {
+                  name;
+                  count = 0;
+                  alloc_bytes = 0;
+                  minor = 0;
+                  major = 0;
+                  top_heap_words = 0;
+                  wall_s = 0.0;
+                }
+          in
+          Hashtbl.replace tbl name
+            {
+              cur with
+              count = cur.count + count;
+              alloc_bytes = cur.alloc_bytes + alloc_bytes;
+              minor = cur.minor + minor;
+              major = cur.major + major;
+              top_heap_words = max cur.top_heap_words top_heap_words;
+              wall_s = cur.wall_s +. (float_of_int wall_ns /. 1e9);
+            }
+      | _ -> ())
+    events;
+  List.rev_map (Hashtbl.find tbl) !rev_names
+
+let entries t = totals (events t)
+let merge ~into t = into.rev_brackets <- t.rev_brackets @ into.rev_brackets
 
 let entry_json e =
   Json.Obj
@@ -124,6 +131,6 @@ let emit t sink ~time =
              minor = e.minor;
              major = e.major;
              top_heap_words = e.top_heap_words;
-             wall_ns = int_of_float (e.wall_s *. 1e9);
+             wall_ns = ns e.wall_s;
            }))
     (entries t)

@@ -18,20 +18,19 @@ type t = {
 
 let default_flush_bytes = 64 * 1024
 
-let make ?metrics ?(next_id = 0) mode =
-  let metrics = match metrics with Some m -> m | None -> Metrics.create () in
+let make ?(next_id = 0) mode =
   if next_id < 0 then invalid_arg "Sink: negative next_id";
-  { metrics; mode; count = 0; next_id; amb_trace = -1; amb_span = -1 }
+  { metrics = Metrics.create (); mode; count = 0; next_id; amb_trace = -1; amb_span = -1 }
 
-let create ?metrics ?next_id ?on_event () =
-  make ?metrics ?next_id
+let create ?next_id ?on_event () =
+  make ?next_id
     (match on_event with
     | Some f -> Callback f
     | None -> Memory { rev_events = [] })
 
-let to_channel ?metrics ?next_id ?(flush_bytes = default_flush_bytes) oc =
+let to_channel ?next_id ?(flush_bytes = default_flush_bytes) oc =
   let flush_bytes = max 1 flush_bytes in
-  make ?metrics ?next_id
+  make ?next_id
     (Channel { oc; buf = Buffer.create (min flush_bytes default_flush_bytes); flush_bytes })
 
 let metrics t = t.metrics
@@ -59,7 +58,48 @@ let clear_ambient t =
   t.amb_trace <- -1;
   t.amb_span <- -1
 
+(* The registry is a fold over the accepted events: [tally] is the only
+   place a metric is written. A series is registered by the first event
+   that touches it, so a dump lists exactly the series the trace gives rise
+   to. A Send costs four registry lookups, any other event at most two. *)
+let inc m ?labels name = Metrics.inc (Metrics.counter m ?labels name)
+
+let shift m name d =
+  let g = Metrics.gauge m name in
+  Metrics.set g (Metrics.gauge_value g + d)
+
+let tally m : Event.kind -> unit = function
+  | Sched { discipline } ->
+      Metrics.set
+        (Metrics.gauge m ~labels:[ ("discipline", discipline) ] "net_scheduler_info")
+        1
+  | Send { tag; bits; _ } ->
+      inc m "net_messages_total";
+      Metrics.add (Metrics.counter m "net_bits_total") bits;
+      inc m ~labels:[ ("tag", tag) ] "net_tag_messages_total";
+      Metrics.observe (Metrics.histogram m "net_message_bits") bits
+  | Deliver { forwarded; reordered; _ } ->
+      if forwarded then inc m "net_forwarded_deliveries_total";
+      if reordered then inc m "net_reorders_total"
+  | Permit_span { ctrl; outcome; latency; moves; _ } ->
+      inc m ~labels:[ ("ctrl", ctrl); ("outcome", outcome) ] "ctrl_requests_total";
+      Metrics.observe
+        (Metrics.histogram m ~labels:[ ("ctrl", ctrl) ] "permit_latency_time")
+        latency;
+      if moves > 0 then Metrics.add (Metrics.counter m "ctrl_moves_total") moves
+  | Reject_wave _ -> inc m "ctrl_reject_waves_total"
+  | Epoch _ -> inc m "ctrl_epochs_total"
+  | Package_split { level; _ } ->
+      inc m ~labels:[ ("level", string_of_int level) ] "pkg_splits_total"
+  | Domain_resize _ -> inc m "domain_resizes_total"
+  | Domain_assign _ -> shift m "domains_tracked" 1
+  | Domain_cancel _ -> shift m "domains_tracked" (-1)
+  | Package_created _ | Package_static _ | Package_join _ | Estimate _ | Phase _
+  | Custom _ ->
+      ()
+
 let record t e =
+  tally t.metrics e.Event.kind;
   t.count <- t.count + 1;
   match t.mode with
   | Memory m -> m.rev_events <- e :: m.rev_events

@@ -1,9 +1,14 @@
-(** The telemetry sink: one metrics registry plus an event trace.
+(** The telemetry sink: an event trace plus the metrics registry derived
+    from it.
 
     A sink is what the instrumented layers ([Net], the controllers, the
     estimators) accept: when absent they skip all telemetry work (the no-sink
     path stays allocation-free); when present every instrumented behaviour
-    increments metrics and appends one typed event.
+    appends one typed event. The registry is a fold over the events the sink
+    accepts: {!event} and {!record} both map each event to its series
+    (DESIGN.md "Metrics" has the event → metric table), and no other code
+    writes a metric. Replaying a trace into a fresh sink with {!record}
+    therefore rebuilds the same registry.
 
     Three trace modes:
     - {e in-memory} (the {!create} default): events accumulate in a reversed
@@ -15,22 +20,20 @@
       any length keeps O(1) heap — the mode for long runs and for one sink
       per parallel task.
 
-    Sinks are single-domain objects: under [Pool]-style parallelism give
-    each task its own sink and merge the registries afterwards with
-    {!Metrics.merge}. *)
+    The registry is kept in every mode. Sinks are single-domain objects:
+    under [Pool]-style parallelism give each task its own sink and merge the
+    registries afterwards with {!Metrics.merge}. *)
 
 type t
 
-val create :
-  ?metrics:Metrics.t -> ?next_id:int -> ?on_event:(Event.t -> unit) -> unit -> t
-(** A fresh in-memory sink. [metrics] defaults to a new registry. With
-    [on_event], events are handed to the callback and not retained.
-    [next_id] (default 0) is the base from which {!fresh_id} mints span and
-    trace ids — give sinks that will be merged disjoint id blocks (see
-    {!reserve_ids}) so spans never collide. *)
+val create : ?next_id:int -> ?on_event:(Event.t -> unit) -> unit -> t
+(** A fresh in-memory sink with an empty registry. With [on_event], events
+    are handed to the callback and not retained. [next_id] (default 0) is
+    the base from which {!fresh_id} mints span and trace ids — give sinks
+    that will be merged disjoint id blocks (see {!reserve_ids}) so spans
+    never collide. *)
 
-val to_channel :
-  ?metrics:Metrics.t -> ?next_id:int -> ?flush_bytes:int -> out_channel -> t
+val to_channel : ?next_id:int -> ?flush_bytes:int -> out_channel -> t
 (** A streaming sink: events are written to the channel as JSONL (one line
     per event, as {!write_jsonl} would), buffered and flushed to the channel
     every [flush_bytes] (default 64 KiB, the value is clamped to at least
@@ -42,6 +45,7 @@ val flush : t -> unit
     (including [Stdlib.flush] on the channel). A no-op on the other modes. *)
 
 val metrics : t -> Metrics.t
+(** The registry folded from every event accepted so far. *)
 
 val event : ?ctx:Event.ctx -> t -> time:int -> Event.kind -> unit
 (** Record one event. Without [?ctx] the event is stamped with the ambient
@@ -52,9 +56,10 @@ val event : ?ctx:Event.ctx -> t -> time:int -> Event.kind -> unit
     span rather than the ambient one. *)
 
 val record : t -> Event.t -> unit
-(** Append an already-built event verbatim (no ambient stamping). For
-    merging per-task sink traces back into a parent sink; pair with
-    {!reserve_ids} so the merged ids stay disjoint. *)
+(** Append an already-built event verbatim (no ambient stamping), folding it
+    into the registry exactly as {!event} does. For merging per-task sink
+    traces back into a parent sink (pair with {!reserve_ids} so the merged
+    ids stay disjoint) and for rebuilding a registry from a saved trace. *)
 
 (** {2 Causality: span ids and the ambient context}
 

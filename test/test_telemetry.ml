@@ -1,6 +1,7 @@
 (* The telemetry library: histogram bucketing, snapshot determinism, JSONL
-   round-trips and the end-to-end agreement between the metrics registry and
-   the network's legacy counters. *)
+   round-trips, the end-to-end agreement between the metrics registry and
+   the network's legacy counters, the registry as a fold of the trace, and
+   profiles as Phase events. *)
 
 module M = Telemetry.Metrics
 module E = Telemetry.Event
@@ -116,6 +117,19 @@ let sample_events =
            outcome = "granted";
            submitted = 2;
            latency = 7;
+           moves = 0;
+         });
+    (* a centralized span carries its move count; 0 is left out of the JSON *)
+    ev 9
+      (E.Permit_span
+         {
+           ctrl = "central";
+           node = 3;
+           aid = 9;
+           outcome = "rejected";
+           submitted = 9;
+           latency = 0;
+           moves = 41;
          });
     ev 9 (E.Package_created { ctrl = "main"; level = 3; size = 8 });
     ev 10 (E.Package_split { ctrl = "main"; level = 3 });
@@ -354,6 +368,205 @@ let test_messages_by_tag_sorted () =
     "sorted by tag" [ ("alpha", 2); ("mid", 1); ("zeta", 1) ]
     (Net.messages_by_tag net)
 
+(* ------------------------------------------------------------------ *)
+(* the registry is a fold of the trace                                 *)
+
+(* Replaying a memory sink's events into a fresh sink with [record] must
+   rebuild the registry exactly: no layer writes a metric the trace does not
+   carry. Returns the snapshot for further checks. *)
+let check_registry_is_fold what sink =
+  let replay = Telemetry.Sink.create () in
+  List.iter (Telemetry.Sink.record replay) (Telemetry.Sink.events sink);
+  let snap = M.snapshot (Telemetry.Sink.metrics sink) in
+  Alcotest.(check bool) (what ^ ": registry non-empty") true (snap <> []);
+  if M.snapshot (Telemetry.Sink.metrics replay) <> snap then
+    Alcotest.failf "%s: the replayed trace folds to a different registry" what;
+  snap
+
+let find_gauge snapshot name =
+  List.find_map
+    (fun e ->
+      match e.M.value with M.Gauge g when e.M.name = name -> Some g | _ -> None)
+    snapshot
+
+(* Drive [changes] workload ops through an asynchronous [submit], at most
+   four in flight, reserving the touched nodes as ctrl_sim's estimator loop
+   does. *)
+let drive_net ~seed ~net ~tree ~changes submit =
+  let wl = Workload.make ~seed ~mix:Workload.Mix.churn () in
+  let reserved = Hashtbl.create 16 in
+  let submitted = ref 0 in
+  let rec pump () =
+    if !submitted < changes then
+      match Workload.next_op_avoiding wl tree ~forbidden:(Hashtbl.mem reserved) with
+      | None -> Net.schedule net ~delay:3 pump
+      | Some op ->
+          incr submitted;
+          let nodes =
+            List.sort_uniq compare
+              (Workload.request_site tree op :: Workload.touched tree op)
+          in
+          List.iter (fun v -> Hashtbl.replace reserved v ()) nodes;
+          submit op (fun () ->
+              List.iter (Hashtbl.remove reserved) nodes;
+              pump ())
+  in
+  for _ = 1 to 4 do
+    pump ()
+  done;
+  Net.run net
+
+let traced_net ~seed n0 =
+  let sink = Telemetry.Sink.create () in
+  let tree = Workload.Shape.build (Rng.create ~seed) (Workload.Shape.Random n0) in
+  (sink, tree, Net.create ~seed:(seed + 1) ~sink ~tree ())
+
+let test_registry_fold_dist () =
+  let sink, tree, net = traced_net ~seed:21 64 in
+  (* more requests than permits: the run ends in a reject wave *)
+  let d =
+    Controller.Dist.create
+      ~params:(Controller.Params.make ~m:60 ~w:8 ~u:(64 + 150))
+      ~net ()
+  in
+  drive_net ~seed:22 ~net ~tree ~changes:150 (fun op k ->
+      Controller.Dist.submit d op ~k:(fun _ -> k ()));
+  let snap = check_registry_is_fold "dist" sink in
+  Alcotest.(check int) "one reject wave" 1 (find_counter snap "ctrl_reject_waves_total");
+  Alcotest.(check int) "net_messages_total = Net.messages" (Net.messages net)
+    (find_counter snap "net_messages_total")
+
+let test_registry_fold_adaptive () =
+  let sink = Telemetry.Sink.create () in
+  let c = ref None in
+  let _ =
+    Helpers.drive ~seed:23 ~shape:(Workload.Shape.Random 48) ~mix:Workload.Mix.churn
+      ~steps:400 (fun tree op ->
+        let a =
+          match !c with
+          | Some a -> a
+          | None ->
+              let a = Controller.Adaptive.create ~telemetry:sink ~m:64 ~w:8 ~tree () in
+              c := Some a;
+              a
+        in
+        Controller.Adaptive.request a op)
+  in
+  let snap = check_registry_is_fold "adaptive" sink in
+  Alcotest.(check bool) "epochs rotated" true (find_counter snap "ctrl_epochs_total" > 0)
+
+let test_registry_fold_central_domains () =
+  let sink = Telemetry.Sink.create () in
+  let c = ref None in
+  (* W close to U on a path: packages split, so domains come and go *)
+  let _ =
+    Helpers.drive ~seed:24 ~shape:(Workload.Shape.Path 400) ~mix:Workload.Mix.churn
+      ~steps:300 (fun tree op ->
+        let ctrl =
+          match !c with
+          | Some ctrl -> ctrl
+          | None ->
+              let ctrl =
+                Controller.Central.create ~track_domains:true ~telemetry:sink
+                  ~params:(Controller.Params.make ~m:300 ~w:270 ~u:700)
+                  ~tree ()
+              in
+              c := Some ctrl;
+              ctrl
+        in
+        Controller.Central.request ctrl op)
+  in
+  let snap = check_registry_is_fold "central" sink in
+  match !c with
+  | None -> Alcotest.fail "no request was made"
+  | Some ctrl ->
+      Helpers.check_domains_exn ctrl;
+      Alcotest.(check bool) "packages split" true (find_counter snap "pkg_splits_total" > 0);
+      (* every mobile package sitting in a store owns exactly one domain *)
+      let live =
+        Controller.Central.fold_stores ctrl ~init:0 ~f:(fun acc _ s ->
+            acc + List.length (Controller.Store.mobiles s))
+      in
+      Alcotest.(check (option int)) "domains_tracked = live domains" (Some live)
+        (find_gauge snap "domains_tracked");
+      Alcotest.(check int) "ctrl_moves_total = Central.moves"
+        (Controller.Central.moves ctrl)
+        (find_counter snap "ctrl_moves_total")
+
+let test_registry_fold_size_estimation () =
+  let sink, tree, net = traced_net ~seed:25 80 in
+  let se = Estimator.Size_estimation.create ~net () in
+  drive_net ~seed:26 ~net ~tree ~changes:400 (fun op k ->
+      Estimator.Size_estimation.submit se op ~k);
+  let snap = check_registry_is_fold "size-est" sink in
+  Alcotest.(check int) "ctrl_epochs_total = epochs"
+    (Estimator.Size_estimation.epochs se)
+    (find_counter snap "ctrl_epochs_total")
+
+let test_registry_fold_name_assignment () =
+  let sink, tree, net = traced_net ~seed:27 80 in
+  let na = Estimator.Name_assignment.create ~net () in
+  drive_net ~seed:28 ~net ~tree ~changes:300 (fun op k ->
+      Estimator.Name_assignment.submit na op ~k);
+  let snap = check_registry_is_fold "names" sink in
+  Alcotest.(check int) "ctrl_epochs_total = epochs"
+    (Estimator.Name_assignment.epochs na)
+    (find_counter snap "ctrl_epochs_total")
+
+(* ------------------------------------------------------------------ *)
+(* profiles are Phase events                                           *)
+
+(* a deterministic clock: every reading advances 1 ms *)
+let ticking () =
+  let t = ref 0.0 in
+  fun () ->
+    t := !t +. 0.001;
+    !t
+
+let profile_runs p names =
+  List.iter
+    (fun name ->
+      Telemetry.Profile.run p ~name (fun () ->
+          ignore (Sys.opaque_identity (Array.make 100 name))))
+    names
+
+let test_profile_emit_folds_to_entries () =
+  let p = Telemetry.Profile.create ~clock:(ticking ()) in
+  Telemetry.Profile.run p ~name:"outer" (fun () -> profile_runs p [ "a"; "b"; "a" ]);
+  let entries = Telemetry.Profile.entries p in
+  Alcotest.(check (list string)) "first-opened order" [ "outer"; "a"; "b" ]
+    (List.map (fun (e : Telemetry.Profile.entry) -> e.name) entries);
+  Alcotest.(check (list int)) "bracket counts" [ 1; 2; 1 ]
+    (List.map (fun (e : Telemetry.Profile.entry) -> e.count) entries);
+  List.iter
+    (fun (e : Telemetry.Profile.entry) ->
+      Alcotest.(check bool) (e.name ^ " has wall time") true (e.wall_s > 0.0))
+    entries;
+  let sink = Telemetry.Sink.create () in
+  Telemetry.Profile.emit p sink ~time:0;
+  Alcotest.(check int) "one Phase event per phase" 3 (Telemetry.Sink.event_count sink);
+  Alcotest.(check bool) "emit then fold = entries" true
+    (Telemetry.Profile.totals (Telemetry.Sink.events sink) = entries)
+
+let test_profile_merge_concatenates () =
+  let clock = ticking () in
+  let a = Telemetry.Profile.create ~clock and b = Telemetry.Profile.create ~clock in
+  profile_runs a [ "build"; "drive" ];
+  profile_runs b [ "drive"; "check" ];
+  let both = Telemetry.Profile.events a @ Telemetry.Profile.events b in
+  let merged = Telemetry.Profile.create ~clock in
+  Telemetry.Profile.merge ~into:merged a;
+  Telemetry.Profile.merge ~into:merged b;
+  Alcotest.(check bool) "merge concatenates the brackets" true
+    (Telemetry.Profile.events merged = both);
+  let entries = Telemetry.Profile.entries merged in
+  Alcotest.(check bool) "merged entries = one profile fed both" true
+    (entries = Telemetry.Profile.totals both);
+  Alcotest.(check (list (pair string int)))
+    "phases in input order, counts add"
+    [ ("build", 1); ("drive", 2); ("check", 1) ]
+    (List.map (fun (e : Telemetry.Profile.entry) -> (e.name, e.count)) entries)
+
 let suite =
   ( "telemetry",
     [
@@ -372,4 +585,18 @@ let suite =
       Alcotest.test_case "forwarded delivery recorded" `Quick
         test_forwarded_delivery_recorded;
       Alcotest.test_case "messages_by_tag sorted" `Quick test_messages_by_tag_sorted;
+      Alcotest.test_case "registry is the fold of the trace (dist)" `Quick
+        test_registry_fold_dist;
+      Alcotest.test_case "registry is the fold of the trace (adaptive)" `Quick
+        test_registry_fold_adaptive;
+      Alcotest.test_case "registry is the fold of the trace (central domains)" `Quick
+        test_registry_fold_central_domains;
+      Alcotest.test_case "registry is the fold of the trace (size-est)" `Quick
+        test_registry_fold_size_estimation;
+      Alcotest.test_case "registry is the fold of the trace (names)" `Quick
+        test_registry_fold_name_assignment;
+      Alcotest.test_case "profile emit folds to entries" `Quick
+        test_profile_emit_folds_to_entries;
+      Alcotest.test_case "profile merge concatenates" `Quick
+        test_profile_merge_concatenates;
     ] )

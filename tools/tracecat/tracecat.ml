@@ -73,7 +73,7 @@ let summarize events =
     cp = C.critical_path events;
     latency = C.latency_by_tag events;
     queue = C.queue_depth events;
-    phases = C.phases events;
+    phases = Telemetry.Profile.totals events;
   }
 
 let delta_i label a b =
