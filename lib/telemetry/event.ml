@@ -51,72 +51,129 @@ type kind =
 
 type t = { time : int; ctx : ctx; kind : kind }
 
-let to_json { time; ctx; kind } =
-  let open Json in
-  let fields =
-    match kind with
-    | Sched { discipline } ->
-        [ ("ev", String "sched"); ("discipline", String discipline) ]
-    | Send { src; addr; tag; bits } ->
-        let dst, dst_kind =
-          match addr with
-          | Exact v -> (v, "exact")
-          | Parent_of v -> (v, "parent_of")
-        in
-        [ ("ev", String "send"); ("src", Int src); ("dst", Int dst);
-          ("dst_kind", String dst_kind); ("tag", String tag); ("bits", Int bits) ]
-    | Deliver { src; dst; tag; seq; forwarded; reordered } ->
-        [ ("ev", String "deliver"); ("src", Int src); ("dst", Int dst);
-          ("tag", String tag); ("seq", Int seq); ("forwarded", Bool forwarded);
-          ("reordered", Bool reordered) ]
-    | Permit_span { ctrl; node; aid; outcome; submitted; latency; moves } ->
-        [ ("ev", String "permit_span"); ("ctrl", String ctrl); ("node", Int node);
-          ("aid", Int aid); ("outcome", String outcome); ("submitted", Int submitted);
-          ("latency", Int latency) ]
-        @ if moves = 0 then [] else [ ("moves", Int moves) ]
-    | Package_created { ctrl; level; size } ->
-        [ ("ev", String "pkg_created"); ("ctrl", String ctrl); ("level", Int level);
-          ("size", Int size) ]
-    | Package_split { ctrl; level } ->
-        [ ("ev", String "pkg_split"); ("ctrl", String ctrl); ("level", Int level) ]
-    | Package_static { ctrl; node; size } ->
-        [ ("ev", String "pkg_static"); ("ctrl", String ctrl); ("node", Int node);
-          ("size", Int size) ]
-    | Package_join { ctrl; from_; to_ } ->
-        [ ("ev", String "pkg_join"); ("ctrl", String ctrl); ("from", Int from_);
-          ("to", Int to_) ]
-    | Domain_assign { level; size } ->
-        [ ("ev", String "dom_assign"); ("level", Int level); ("size", Int size) ]
-    | Domain_resize { level; size } ->
-        [ ("ev", String "dom_resize"); ("level", Int level); ("size", Int size) ]
-    | Domain_cancel { level } -> [ ("ev", String "dom_cancel"); ("level", Int level) ]
-    | Reject_wave { ctrl; node } ->
-        [ ("ev", String "reject_wave"); ("ctrl", String ctrl); ("node", Int node) ]
-    | Epoch { ctrl; epoch; n } ->
-        [ ("ev", String "epoch"); ("ctrl", String ctrl); ("epoch", Int epoch);
-          ("n", Int n) ]
-    | Estimate { ctrl; node; value; truth } ->
-        [ ("ev", String "estimate"); ("ctrl", String ctrl); ("node", Int node);
-          ("value", Int value); ("truth", Int truth) ]
-    | Phase { name; count; alloc_bytes; minor; major; top_heap_words; wall_ns } ->
-        [ ("ev", String "phase"); ("name", String name); ("count", Int count);
-          ("alloc_bytes", Int alloc_bytes); ("minor", Int minor);
-          ("major", Int major); ("top_heap_words", Int top_heap_words);
-          ("wall_ns", Int wall_ns) ]
-    | Custom { name; value } ->
-        [ ("ev", String "custom"); ("name", String name); ("value", Int value) ]
-  in
+(* The one renderer: each field goes straight into [buf], keys being
+   constant strings that carry their own separator. *)
+let int buf key v =
+  Buffer.add_string buf key;
+  Json.add_int buf v
+
+let str buf key s =
+  Buffer.add_string buf key;
+  Json.add_string buf s
+
+let bool buf key b =
+  Buffer.add_string buf key;
+  Buffer.add_string buf (if b then "true" else "false")
+
+let add_line buf { time; ctx; kind } =
+  int buf "{\"time\":" time;
   (* Causality fields only appear on events that carry a context, so traces
      from un-instrumented layers (and pre-causality traces) stay compact and
      re-readable: [of_json] defaults every absent field to -1. *)
-  let fields =
-    if not (has_ctx ctx) then fields
-    else if ctx.parent >= 0 then
-      ("trace", Int ctx.trace) :: ("span", Int ctx.span)
-      :: ("parent", Int ctx.parent) :: fields
-    else ("trace", Int ctx.trace) :: ("span", Int ctx.span) :: fields
-  in
-  Obj (("time", Int time) :: fields)
+  if has_ctx ctx then begin
+    int buf ",\"trace\":" ctx.trace;
+    int buf ",\"span\":" ctx.span;
+    if ctx.parent >= 0 then int buf ",\"parent\":" ctx.parent
+  end;
+  (match kind with
+  | Sched { discipline } ->
+      Buffer.add_string buf ",\"ev\":\"sched\"";
+      str buf ",\"discipline\":" discipline
+  | Send { src; addr; tag; bits } ->
+      Buffer.add_string buf ",\"ev\":\"send\"";
+      int buf ",\"src\":" src;
+      (match addr with
+      | Exact v ->
+          int buf ",\"dst\":" v;
+          Buffer.add_string buf ",\"dst_kind\":\"exact\""
+      | Parent_of v ->
+          int buf ",\"dst\":" v;
+          Buffer.add_string buf ",\"dst_kind\":\"parent_of\"");
+      str buf ",\"tag\":" tag;
+      int buf ",\"bits\":" bits
+  | Deliver { src; dst; tag; seq; forwarded; reordered } ->
+      Buffer.add_string buf ",\"ev\":\"deliver\"";
+      int buf ",\"src\":" src;
+      int buf ",\"dst\":" dst;
+      str buf ",\"tag\":" tag;
+      int buf ",\"seq\":" seq;
+      bool buf ",\"forwarded\":" forwarded;
+      bool buf ",\"reordered\":" reordered
+  | Permit_span { ctrl; node; aid; outcome; submitted; latency; moves } ->
+      Buffer.add_string buf ",\"ev\":\"permit_span\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"node\":" node;
+      int buf ",\"aid\":" aid;
+      str buf ",\"outcome\":" outcome;
+      int buf ",\"submitted\":" submitted;
+      int buf ",\"latency\":" latency;
+      if moves <> 0 then int buf ",\"moves\":" moves
+  | Package_created { ctrl; level; size } ->
+      Buffer.add_string buf ",\"ev\":\"pkg_created\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"level\":" level;
+      int buf ",\"size\":" size
+  | Package_split { ctrl; level } ->
+      Buffer.add_string buf ",\"ev\":\"pkg_split\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"level\":" level
+  | Package_static { ctrl; node; size } ->
+      Buffer.add_string buf ",\"ev\":\"pkg_static\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"node\":" node;
+      int buf ",\"size\":" size
+  | Package_join { ctrl; from_; to_ } ->
+      Buffer.add_string buf ",\"ev\":\"pkg_join\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"from\":" from_;
+      int buf ",\"to\":" to_
+  | Domain_assign { level; size } ->
+      Buffer.add_string buf ",\"ev\":\"dom_assign\"";
+      int buf ",\"level\":" level;
+      int buf ",\"size\":" size
+  | Domain_resize { level; size } ->
+      Buffer.add_string buf ",\"ev\":\"dom_resize\"";
+      int buf ",\"level\":" level;
+      int buf ",\"size\":" size
+  | Domain_cancel { level } ->
+      Buffer.add_string buf ",\"ev\":\"dom_cancel\"";
+      int buf ",\"level\":" level
+  | Reject_wave { ctrl; node } ->
+      Buffer.add_string buf ",\"ev\":\"reject_wave\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"node\":" node
+  | Epoch { ctrl; epoch; n } ->
+      Buffer.add_string buf ",\"ev\":\"epoch\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"epoch\":" epoch;
+      int buf ",\"n\":" n
+  | Estimate { ctrl; node; value; truth } ->
+      Buffer.add_string buf ",\"ev\":\"estimate\"";
+      str buf ",\"ctrl\":" ctrl;
+      int buf ",\"node\":" node;
+      int buf ",\"value\":" value;
+      int buf ",\"truth\":" truth
+  | Phase { name; count; alloc_bytes; minor; major; top_heap_words; wall_ns } ->
+      Buffer.add_string buf ",\"ev\":\"phase\"";
+      str buf ",\"name\":" name;
+      int buf ",\"count\":" count;
+      int buf ",\"alloc_bytes\":" alloc_bytes;
+      int buf ",\"minor\":" minor;
+      int buf ",\"major\":" major;
+      int buf ",\"top_heap_words\":" top_heap_words;
+      int buf ",\"wall_ns\":" wall_ns
+  | Custom { name; value } ->
+      Buffer.add_string buf ",\"ev\":\"custom\"";
+      str buf ",\"name\":" name;
+      int buf ",\"value\":" value);
+  Buffer.add_char buf '}'
+
+let to_line e =
+  let buf = Buffer.create 160 in
+  add_line buf e;
+  Buffer.contents buf
+
+let to_json e = Json.of_string (to_line e)
 
 let of_json j =
   let open Json in
@@ -193,6 +250,5 @@ let of_json j =
   in
   { time; ctx; kind }
 
-let to_line e = Json.to_string (to_json e)
 let of_line s = of_json (Json.of_string s)
 let pp ppf e = Format.pp_print_string ppf (to_line e)

@@ -6,9 +6,9 @@
     controller epoch rotations, and estimator updates. [Custom] carries
     anything else without extending the type.
 
-    Events serialize to single-line JSON (see {!to_json} / {!of_json}) and
-    round-trip exactly; JSONL traces written by {!Sink.write_jsonl} are
-    re-readable with {!of_line}. *)
+    Events serialize to single-line JSON through one renderer, {!add_line},
+    and round-trip exactly; JSONL traces written by {!Sink.write_jsonl} or a
+    {!Sink.to_channel} sink are re-readable with {!of_line}. *)
 
 type addr = Exact of int | Parent_of of int
 (** Mirror of [Net.addr] (the network library sits above this one). *)
@@ -87,17 +87,26 @@ type kind =
 
 type t = { time : int; ctx : ctx; kind : kind }
 
+val add_line : Buffer.t -> t -> unit
+(** Append the event as one line of JSON (no trailing newline) to the
+    buffer, field by field: ["time"], then the causality fields, then
+    ["ev"] and the kind's fields in declaration order. Causality fields
+    ([trace]/[span]/[parent]) are emitted only when present (>= 0), so
+    context-free events serialize exactly as before the causality layer
+    existed; a [Permit_span]'s [moves] only when non-zero. Allocates
+    nothing beyond the buffer's own growth, which is what lets a
+    {!Sink.to_channel} sink record [Net]'s events without allocating. *)
+
+val to_line : t -> string
+(** {!add_line} into a fresh string. *)
+
 val to_json : t -> Json.t
-(** Causality fields ([trace]/[span]/[parent]) are emitted only when present
-    (>= 0), so context-free events serialize exactly as before the causality
-    layer existed. *)
+(** The {!to_line} rendering parsed back into a tree, for readers that
+    want fields by name (the Perfetto export, tests). *)
 
 val of_json : Json.t -> t
 (** @raise Failure on a JSON value that no [kind] produces. Absent causality
     fields parse as [-1] (i.e. {!no_ctx}). *)
-
-val to_line : t -> string
-(** The event as one line of JSON (no trailing newline). *)
 
 val of_line : string -> t
 (** Inverse of {!to_line}. @raise Failure on malformed input. *)

@@ -125,8 +125,7 @@ let perfetto events =
                ]))
       ordered
   in
-  let kind_name (e : Event.t) =
-    match Event.to_json e with
+  let kind_name = function
     | Json.Obj fields -> (
         match List.assoc_opt "ev" fields with
         | Some (Json.String s) -> s
@@ -139,6 +138,7 @@ let perfetto events =
         match e.kind with
         | Event.Send _ | Event.Deliver _ -> None
         | _ ->
+            let args = Event.to_json e in
             Some
               (Json.Obj
                  (base
@@ -149,10 +149,10 @@ let perfetto events =
                            else 0) );
                       ("ph", Json.String "i");
                       ("s", Json.String "t");
-                      ("name", Json.String (kind_name e));
+                      ("name", Json.String (kind_name args));
                       ("cat", Json.String "ctrl");
                       ("ts", Json.Int e.time);
-                      ("args", Event.to_json e);
+                      ("args", args);
                     ])))
       events
   in

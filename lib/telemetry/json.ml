@@ -10,31 +10,63 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* printing                                                            *)
 
-let escape buf s =
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let rec clean s i = i >= String.length s || ((not (needs_escape s.[i])) && clean s (i + 1))
+
+let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
+
+let rec add_escaped buf s i =
+  if i < String.length s then begin
+    (match s.[i] with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+        Buffer.add_char buf (hex_digit (Char.code c land 15))
+    | c -> Buffer.add_char buf c);
+    add_escaped buf s (i + 1)
+  end
+
+let add_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  if clean s 0 then Buffer.add_string buf s else add_escaped buf s 0;
   Buffer.add_char buf '"'
+
+(* [n <= 0] throughout, so [min_int] needs no special case. The leading
+   digits go out first, two per [Buffer] call where there are two: [pair q]
+   is the two ASCII digits of [-q] ([-99 <= q <= 0]) as a little-endian
+   16-bit value. [/] and [mod] by constants compile to multiplications. *)
+let pair q = (48 - (q / 10)) lor ((48 - (q mod 10)) lsl 8)
+
+let rec add_digits buf n =
+  if n <= -100 then begin
+    add_digits buf (n / 100);
+    Buffer.add_int16_le buf (pair (n mod 100))
+  end
+  else if n <= -10 then Buffer.add_int16_le buf (pair n)
+  else Buffer.add_char buf (Char.unsafe_chr (48 - n))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
       else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-  | String s -> escape buf s
+  | String s -> add_string buf s
   | List l ->
       Buffer.add_char buf '[';
       List.iteri
@@ -48,7 +80,7 @@ let rec emit buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          escape buf k;
+          add_string buf k;
           Buffer.add_char buf ':';
           emit buf v)
         fields;

@@ -19,6 +19,18 @@ val to_string : t -> string
 (** Compact (single-line, no spaces) rendering; object fields keep their
     given order. *)
 
+val add_string : Buffer.t -> string -> unit
+(** Append a string as a quoted JSON string literal. Escapes the double
+    quote, the backslash, newline, carriage return and tab by name and the
+    other bytes below 0x20 as [\u00XX]; every other byte, DEL and UTF-8
+    included, passes through. A string that needs no escape is copied in
+    one blit. The only string escaper: {!to_string} and {!Event.add_line}
+    both use it. Allocates nothing beyond the buffer's growth. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append an int in decimal, as [string_of_int] renders it ([min_int]
+    included), without allocating. *)
+
 val of_string : string -> t
 (** Strict parse of exactly one JSON value (surrounding whitespace allowed).
     @raise Failure on malformed input or trailing garbage. *)

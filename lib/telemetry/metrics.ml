@@ -30,11 +30,13 @@ let rec compare_labels a b =
   | x :: xs, y :: ys -> (
       match compare_label x y with 0 -> compare_labels xs ys | c -> c)
 
+let rec sorted = function
+  | a :: (b :: _ as rest) -> compare_label a b <= 0 && sorted rest
+  | [] | [ _ ] -> true
+
 (* [List.sort] allocates its merge closures even for short lists, and
-   nearly every lookup has zero or one label *)
-let normalize_labels = function
-  | ([] | [ _ ]) as labels -> labels
-  | labels -> List.sort compare_label labels
+   callers pass their labels in order *)
+let normalize_labels labels = if sorted labels then labels else List.sort compare_label labels
 
 (* The instrument registered under name/labels, created by [make] on first
    use. Lookups allocate only the key. *)
@@ -87,7 +89,8 @@ let bucket_of v =
 let bucket_upper k = if k = 0 then 0 else 1 lsl (k - 1)
 
 let observe h v =
-  h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+  let k = bucket_of v in
+  h.buckets.(k) <- h.buckets.(k) + 1;
   h.count <- h.count + 1;
   h.sum <- h.sum + v
 

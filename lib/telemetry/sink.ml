@@ -3,9 +3,22 @@ type mode =
   | Callback of (Event.t -> unit)
   | Channel of { oc : out_channel; buf : Buffer.t; flush_bytes : int }
 
+module Tags = Hashtbl.Make (String)
+
+(* The series a Send touches, resolved once per sink so the fold of [Net]'s
+   events does no registry lookup; per-tag counters are keyed by the tag
+   string, whose hash allocates nothing. *)
+type send_series = {
+  messages : Metrics.counter;
+  bits : Metrics.counter;
+  message_bits : Metrics.histogram;
+  by_tag : Metrics.counter Tags.t;
+}
+
 type t = {
   metrics : Metrics.t;
   mode : mode;
+  mutable send_series : send_series option;
   mutable count : int;
   (* causality state: the next span/trace id to mint, and the ambient
      context installed by [Net] around delivery continuations and scheduled
@@ -16,11 +29,23 @@ type t = {
   mutable amb_span : int;
 }
 
-let default_flush_bytes = 64 * 1024
+(* The channel buffers its own output, so this buffer only batches the
+   calls into it. A small one stays in cache and needs no large heap block:
+   freeing such blocks lets the C heap shrink, and whatever allocates next
+   page-faults it back. *)
+let default_flush_bytes = 4 * 1024
 
 let make ?(next_id = 0) mode =
   if next_id < 0 then invalid_arg "Sink: negative next_id";
-  { metrics = Metrics.create (); mode; count = 0; next_id; amb_trace = -1; amb_span = -1 }
+  {
+    metrics = Metrics.create ();
+    mode;
+    send_series = None;
+    count = 0;
+    next_id;
+    amb_trace = -1;
+    amb_span = -1;
+  }
 
 let create ?next_id ?on_event () =
   make ?next_id
@@ -61,23 +86,51 @@ let clear_ambient t =
 (* The registry is a fold over the accepted events: [tally] is the only
    place a metric is written. A series is registered by the first event
    that touches it, so a dump lists exactly the series the trace gives rise
-   to. A Send costs four registry lookups, any other event at most two. *)
+   to. A Send or a plain Deliver does no registry lookup (see
+   [send_series]); any other event at most two. *)
 let inc m ?labels name = Metrics.inc (Metrics.counter m ?labels name)
 
 let shift m name d =
   let g = Metrics.gauge m name in
   Metrics.set g (Metrics.gauge_value g + d)
 
-let tally m : Event.kind -> unit = function
+let send_series t =
+  match t.send_series with
+  | Some s -> s
+  | None ->
+      let m = t.metrics in
+      let s =
+        {
+          messages = Metrics.counter m "net_messages_total";
+          bits = Metrics.counter m "net_bits_total";
+          message_bits = Metrics.histogram m "net_message_bits";
+          by_tag = Tags.create 16;
+        }
+      in
+      t.send_series <- Some s;
+      s
+
+let tag_counter t s tag =
+  match Tags.find s.by_tag tag with
+  | c -> c
+  | exception Not_found ->
+      let c = Metrics.counter t.metrics ~labels:[ ("tag", tag) ] "net_tag_messages_total" in
+      Tags.add s.by_tag tag c;
+      c
+
+let tally t (kind : Event.kind) =
+  let m = t.metrics in
+  match kind with
   | Sched { discipline } ->
       Metrics.set
         (Metrics.gauge m ~labels:[ ("discipline", discipline) ] "net_scheduler_info")
         1
   | Send { tag; bits; _ } ->
-      inc m "net_messages_total";
-      Metrics.add (Metrics.counter m "net_bits_total") bits;
-      inc m ~labels:[ ("tag", tag) ] "net_tag_messages_total";
-      Metrics.observe (Metrics.histogram m "net_message_bits") bits
+      let s = send_series t in
+      Metrics.inc s.messages;
+      Metrics.add s.bits bits;
+      Metrics.inc (tag_counter t s tag);
+      Metrics.observe s.message_bits bits
   | Deliver { forwarded; reordered; _ } ->
       if forwarded then inc m "net_forwarded_deliveries_total";
       if reordered then inc m "net_reorders_total"
@@ -99,13 +152,13 @@ let tally m : Event.kind -> unit = function
       ()
 
 let record t e =
-  tally t.metrics e.Event.kind;
+  tally t e.Event.kind;
   t.count <- t.count + 1;
   match t.mode with
   | Memory m -> m.rev_events <- e :: m.rev_events
   | Callback f -> f e
   | Channel c ->
-      Buffer.add_string c.buf (Event.to_line e);
+      Event.add_line c.buf e;
       Buffer.add_char c.buf '\n';
       if Buffer.length c.buf >= c.flush_bytes then begin
         Buffer.output_buffer c.oc c.buf;
@@ -141,7 +194,7 @@ let to_jsonl t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
-      Buffer.add_string buf (Event.to_line e);
+      Event.add_line buf e;
       Buffer.add_char buf '\n')
     (events t);
   Buffer.contents buf
@@ -150,7 +203,15 @@ let write_jsonl t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_jsonl t))
+    (fun () ->
+      let line = Buffer.create 256 in
+      List.iter
+        (fun e ->
+          Buffer.clear line;
+          Event.add_line line e;
+          Buffer.add_char line '\n';
+          Buffer.output_buffer oc line)
+        (events t))
 
 let read_jsonl path =
   let ic = open_in path in

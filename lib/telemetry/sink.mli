@@ -8,17 +8,21 @@
     accepts: {!event} and {!record} both map each event to its series
     (DESIGN.md "Metrics" has the event → metric table), and no other code
     writes a metric. Replaying a trace into a fresh sink with {!record}
-    therefore rebuilds the same registry.
+    therefore rebuilds the same registry. The series a [Send] touches are
+    resolved once per sink, by its first [Send], and per-tag counters are
+    found by the tag string, so folding [Net]'s [Send] and [Deliver] events
+    looks nothing up in the registry and allocates nothing.
 
     Three trace modes:
     - {e in-memory} (the {!create} default): events accumulate in a reversed
       list, O(1) append, read back with {!events} / {!to_jsonl};
     - {e callback} ([?on_event]): events are handed to the callback
       {e instead} of being retained;
-    - {e channel} ({!to_channel}): events are serialized to JSONL through a
-      bounded write-through buffer (~64 KiB between flushes), so a trace of
-      any length keeps O(1) heap — the mode for long runs and for one sink
-      per parallel task.
+    - {e channel} ({!to_channel}): events are rendered by {!Event.add_line}
+      straight into a small write-through buffer (4 KiB between flushes;
+      the channel does its own buffering), so a trace of any length keeps O(1) heap and recording a
+      prebuilt [Send] or [Deliver] allocates nothing — the mode for long
+      runs and for one sink per parallel task.
 
     The registry is kept in every mode. Sinks are single-domain objects:
     under [Pool]-style parallelism give each task its own sink and merge the
@@ -36,7 +40,7 @@ val create : ?next_id:int -> ?on_event:(Event.t -> unit) -> unit -> t
 val to_channel : ?next_id:int -> ?flush_bytes:int -> out_channel -> t
 (** A streaming sink: events are written to the channel as JSONL (one line
     per event, as {!write_jsonl} would), buffered and flushed to the channel
-    every [flush_bytes] (default 64 KiB, the value is clamped to at least
+    every [flush_bytes] (default 4 KiB, the value is clamped to at least
     1). Call {!flush} before reading the file or closing the channel; the
     channel itself stays owned by the caller. *)
 
@@ -98,10 +102,12 @@ val event_count : t -> int
 (** Number of events recorded (retained or streamed). *)
 
 val to_jsonl : t -> string
-(** The retained trace as JSONL (one event per line, trailing newline). *)
+(** The retained trace as JSONL (one event per line, trailing newline),
+    rendered by {!Event.add_line} into one buffer. *)
 
 val write_jsonl : t -> string -> unit
-(** Write {!to_jsonl} to a file. *)
+(** Write the bytes of {!to_jsonl} to a file, one line at a time, without
+    building the whole trace as one string. *)
 
 val read_jsonl : string -> Event.t list
 (** Parse a JSONL trace file back into events (blank lines skipped).

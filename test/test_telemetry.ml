@@ -155,13 +155,72 @@ let sample_events =
     ev max_int (E.Custom { name = "quote\"and\\slash"; value = -3 });
   ]
 
+(* Encoder edge cases on top of [sample_events]: each ctx shape on a
+   non-network event, the int extremes and digit-count boundaries, and
+   each escaping class (quote, backslash, the named control escapes, raw
+   control characters, DEL and UTF-8 bytes pass through, the empty
+   string). [test/event_golden.jsonl] holds their rendering by the
+   Json.t-tree encoder this one replaced; never regenerate it from
+   [E.to_line]. *)
+let golden_events =
+  sample_events
+  @ [
+      ev 20 ~ctx:{ E.trace = 0; span = 0; parent = -1 } (E.Epoch { ctrl = ""; epoch = 0; n = 1 });
+      ev 21
+        ~ctx:{ E.trace = max_int; span = max_int - 1; parent = 0 }
+        (E.Permit_span
+           {
+             ctrl = "dist";
+             node = 0;
+             aid = -1;
+             outcome = "exhausted";
+             submitted = -7;
+             latency = 10;
+             moves = -1;
+           });
+      ev min_int (E.Custom { name = "min"; value = min_int });
+      ev (-1) (E.Custom { name = "max"; value = max_int });
+      ev 9 (E.Custom { name = "tens"; value = 10 });
+      ev 99 (E.Custom { name = "hundreds"; value = 100 });
+      ev 999_999_999 (E.Custom { name = "e9"; value = 1_000_000_000 });
+      ev 1_000_000_000_000_000_000 (E.Custom { name = "e18"; value = -1_000_000_000_000_000_000 });
+      ev 0 (E.Custom { name = "neg ten"; value = -10 });
+      ev 1 (E.Estimate { ctrl = "size-est"; node = -2; value = -99; truth = -100 });
+      ev 2 (E.Sched { discipline = "tab\there\nnewline\rreturn" });
+      ev 3 (E.Send { src = -1; addr = E.Parent_of (-5); tag = "ctl\001\031\b\012"; bits = max_int });
+      ev 4
+        (E.Deliver
+           { src = 3; dst = -3; tag = "\"\\\""; seq = min_int; forwarded = true; reordered = true });
+      ev 5 (E.Package_created { ctrl = "del\127 utf8 \xc3\xa9\xe2\x86\x92"; level = -1; size = 0 });
+      ev 6 (E.Custom { name = ""; value = 0 });
+    ]
+
 let test_event_roundtrip () =
   List.iter
     (fun e ->
       let e' = E.of_line (E.to_line e) in
       if e' <> e then
         Alcotest.failf "round-trip changed %s into %s" (E.to_line e) (E.to_line e'))
-    sample_events
+    golden_events
+
+(* The JSONL bytes are a format other tools read: [to_line] and a channel
+   sink must reproduce the committed rendering byte for byte. A small
+   [flush_bytes] puts flushes between the lines. *)
+let test_event_golden () =
+  let expected = Event_golden.jsonl in
+  let lines = List.map (fun e -> E.to_line e ^ "\n") golden_events in
+  Alcotest.(check string) "to_line" expected (String.concat "" lines);
+  let path = Filename.temp_file "golden" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let oc = open_out_bin path in
+      let sink = Telemetry.Sink.to_channel ~flush_bytes:100 oc in
+      List.iter (Telemetry.Sink.record sink) golden_events;
+      Telemetry.Sink.flush sink;
+      close_out oc;
+      Alcotest.(check string) "channel sink" expected
+        (In_channel.with_open_bin path In_channel.input_all))
 
 let test_jsonl_file_roundtrip () =
   let sink = Telemetry.Sink.create () in
@@ -210,7 +269,7 @@ let test_channel_sink_roundtrip () =
     [ Some 32; None ]
 
 let test_channel_sink_multi_flush () =
-  (* a trace well past the 64 KiB default buffer crosses several flush
+  (* a trace well past the 4 KiB default buffer crosses many flush
      boundaries; every line must still come back intact *)
   let n = 5_000 in
   let path = Filename.temp_file "telemetry" ".jsonl" in
@@ -575,6 +634,7 @@ let suite =
       Alcotest.test_case "snapshot determinism" `Quick test_snapshot_determinism;
       Alcotest.test_case "re-registration shares" `Quick test_reregistration_shares_instrument;
       Alcotest.test_case "event json round-trip" `Quick test_event_roundtrip;
+      Alcotest.test_case "event jsonl golden bytes" `Quick test_event_golden;
       Alcotest.test_case "jsonl file round-trip" `Quick test_jsonl_file_roundtrip;
       Alcotest.test_case "channel sink round-trip" `Quick test_channel_sink_roundtrip;
       Alcotest.test_case "channel sink multi-flush" `Quick test_channel_sink_multi_flush;

@@ -140,6 +140,52 @@ let test_net_round_trip () =
         Net.run net
       done)
 
+(* A traced run records two events per message. Into a channel sink that
+   is the registry fold (resolved series handles, the per-tag table) plus
+   the direct JSONL encoder writing into the sink's buffer: none of it may
+   allocate. [flush_bytes] is small so flushes to the channel fall inside
+   the window too. *)
+let test_sink_record () =
+  let module E = Telemetry.Event in
+  let oc = open_out_bin Filename.null in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      let sink = Telemetry.Sink.to_channel ~flush_bytes:512 oc in
+      let send =
+        {
+          E.time = 123_456;
+          ctx = { E.trace = 40; span = 41; parent = 40 };
+          kind = E.Send { src = 7; addr = E.Parent_of 9; tag = "agent-up"; bits = 24 };
+        }
+      and deliver =
+        {
+          E.time = 123_460;
+          ctx = { E.trace = 40; span = 41; parent = 40 };
+          kind =
+            E.Deliver
+              {
+                src = 7;
+                dst = 3;
+                tag = "agent-up";
+                seq = -1;
+                forwarded = false;
+                reordered = false;
+              };
+        }
+      in
+      (* warm-up resolves the series handles and grows the buffer *)
+      for _ = 1 to 100 do
+        Telemetry.Sink.record sink send;
+        Telemetry.Sink.record sink deliver
+      done;
+      check_zero "Sink.record Send/Deliver into a channel" (fun () ->
+          for _ = 1 to laps do
+            Telemetry.Sink.record sink send;
+            Telemetry.Sink.record sink deliver
+          done);
+      Telemetry.Sink.flush sink)
+
 (* ---------------------------------------------------------------- *)
 (* Stream identity: the 32-bit-halves implementation vs Int64 SplitMix64. *)
 
@@ -183,6 +229,7 @@ let suite =
       Alcotest.test_case "dtree traversal and mutation" `Quick test_dtree;
       Alcotest.test_case "event queue cycle" `Quick test_event_queue;
       Alcotest.test_case "net round trip (no sink)" `Quick test_net_round_trip;
+      Alcotest.test_case "sink record into a channel" `Quick test_sink_record;
       Alcotest.test_case "splitmix64 reference stream" `Quick
         test_splitmix_reference;
     ] )
