@@ -255,6 +255,19 @@ let () =
               exit 2) ),
       args )
   in
+  (* Open the output files before any experiment runs, so an unwritable
+     path fails at once (exit 2, like any bad argument) and not after
+     minutes of work. *)
+  let open_output = function
+    | None -> None
+    | Some path -> (
+        try Some (path, open_out path)
+        with Sys_error msg ->
+          Format.printf "cannot write output: %s@." msg;
+          exit 2)
+  in
+  let json_out = open_output json_file in
+  let trace_out = open_output trace_file in
   let results = ref [] in
   let trace_events = ref [] in
   let trace_sink () =
@@ -291,26 +304,28 @@ let () =
         | None -> Format.printf "unknown experiment %S (have: e1..e15, micro)@." name)
     wanted;
   let outcomes = List.rev !results in
-  (match trace_file with
+  (match trace_out with
   | None -> ()
-  | Some path ->
-      let all = Telemetry.Sink.create () in
+  | Some (path, oc) ->
+      let all = Telemetry.Sink.to_channel oc in
       List.iter
         (fun events -> List.iter (Telemetry.Sink.record all) events)
         (List.rev !trace_events);
-      Telemetry.Sink.write_jsonl all path;
+      Telemetry.Sink.flush all;
+      close_out oc;
       Format.printf "trace (%d events) -> %s@." (Telemetry.Sink.event_count all)
         path);
   let discipline =
     Scheduler.name
       (Option.value ~default:(Scheduler.default ()) scheduler)
   in
-  (match json_file with
+  (match json_out with
   | None -> ()
-  | Some path ->
+  | Some (path, oc) ->
       let open Telemetry.Json in
-      Telemetry.Export.write_file path
+      output_string oc
         (to_string (Obj (List.map (outcome_json discipline) outcomes)) ^ "\n");
+      close_out oc;
       Format.printf "json results -> %s@." path);
   (match compare_file with
   | None -> ()

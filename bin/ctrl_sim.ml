@@ -97,60 +97,94 @@ let seeds_arg =
 
 let effective_jobs j = if j <= 0 then Pool.default_jobs () else j
 
-(* Build the sink for one task: a metrics registry always, plus a streaming
-   JSONL channel when a trace was requested — [Sink.to_channel], so an
-   arbitrarily long trace keeps O(1) heap instead of pinning every event
-   until the end of the run. [f sink] runs the task; the trace channel is
-   flushed and closed afterwards, and the trace line is reported to [ppf]. *)
-let with_sink ~metrics_out ~trace_out ?perfetto_out ppf f =
-  match (metrics_out, trace_out, perfetto_out) with
-  | None, None, None ->
-      (* no sink at all: the instrumented layers keep their allocation-free
-         no-telemetry fast path *)
-      f None;
-      None
-  | _ ->
-      let channel = Option.map (fun path -> (path, open_out path)) trace_out in
-      let sink =
-        match channel with
-        | Some (_, oc) -> Telemetry.Sink.to_channel oc
-        | None -> Telemetry.Sink.create ()
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Telemetry.Sink.flush sink;
-          Option.iter (fun (_, oc) -> close_out oc) channel)
-        (fun () -> f (Some sink));
-      Option.iter
-        (fun (path, _) ->
-          Format.fprintf ppf "event trace      %s (%d events)@." path
-            (Telemetry.Sink.event_count sink))
-        channel;
-      Option.iter
-        (fun out ->
-          (* streaming sinks don't pin events, so re-read the JSONL they
-             wrote; memory sinks hand their events over directly *)
-          let events =
-            match channel with
-            | Some (path, _) -> Telemetry.Sink.read_jsonl path
-            | None -> Telemetry.Sink.events sink
-          in
-          Telemetry.Export.write_file out (Telemetry.Export.perfetto events);
-          Format.fprintf ppf "perfetto trace   %s (%d events)@." out
-            (List.length events))
-        perfetto_out;
-      Some (Telemetry.Sink.metrics sink)
+(* An output file, opened before the simulation that fills it. *)
+type output = { path : string; oc : out_channel }
 
-let dump_metrics metrics_out registries =
+(* Open every output file before any simulation runs: [open_all] opens
+   them through the function it is given, and [k] runs on the result. An
+   unwritable path is then a usage error naming the path (exit 124), not
+   an uncaught Sys_error once the results are printed; the files opened
+   before the failing one are closed again. *)
+let with_outputs open_all k =
+  let opened = ref [] in
+  let open_output path =
+    let oc = open_out path in
+    opened := oc :: !opened;
+    { path; oc }
+  in
+  match open_all open_output with
+  | outputs -> `Ok (k outputs)
+  | exception Sys_error msg ->
+      List.iter close_out_noerr !opened;
+      `Error (false, "cannot write output: " ^ msg)
+
+let write_output out contents =
+  Fun.protect
+    ~finally:(fun () -> close_out out.oc)
+    (fun () -> output_string out.oc contents)
+
+(* Build the sink for one task: a metrics registry whenever any output was
+   requested, streaming JSONL to the trace file when there is one —
+   [Sink.to_channel], so an arbitrarily long trace keeps O(1) heap instead
+   of pinning every event until the end of the run. [f sink] runs the
+   task; the trace channel is flushed and closed afterwards, and the trace
+   line is reported to [ppf]. *)
+let with_sink ~metrics ?trace ?perfetto ppf f =
+  if (not metrics) && trace = None && perfetto = None then (
+    (* no sink at all: the instrumented layers keep their allocation-free
+       no-telemetry fast path *)
+    f None;
+    None)
+  else
+    let sink =
+      match trace with
+      | Some t -> Telemetry.Sink.to_channel t.oc
+      | None -> Telemetry.Sink.create ()
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Telemetry.Sink.flush sink;
+        Option.iter (fun t -> close_out t.oc) trace)
+      (fun () -> f (Some sink));
+    Option.iter
+      (fun t ->
+        Format.fprintf ppf "event trace      %s (%d events)@." t.path
+          (Telemetry.Sink.event_count sink))
+      trace;
+    Option.iter
+      (fun out ->
+        (* streaming sinks don't pin events, so re-read the JSONL they
+           wrote; memory sinks hand their events over directly *)
+        let events =
+          match trace with
+          | Some t -> Telemetry.Sink.read_jsonl t.path
+          | None -> Telemetry.Sink.events sink
+        in
+        write_output out (Telemetry.Export.perfetto events);
+        Format.fprintf ppf "perfetto trace   %s (%d events)@." out.path
+          (List.length events))
+      perfetto;
+    Some (Telemetry.Sink.metrics sink)
+
+let dump_metrics metrics registries =
   Option.iter
-    (fun path ->
+    (fun out ->
       let merged = Telemetry.Metrics.create () in
       List.iter
         (Option.iter (fun m -> Telemetry.Metrics.merge ~into:merged m))
         registries;
-      Telemetry.Export.write_file path (Telemetry.Export.prometheus merged);
-      Format.printf "metrics dump     %s@." path)
-    metrics_out
+      write_output out (Telemetry.Export.prometheus merged);
+      Format.printf "metrics dump     %s@." out.path)
+    metrics
+
+(* The single-run commands (size-est, names): open the three outputs, then
+   run [f] on them. *)
+let with_run_outputs metrics_out trace_out perfetto_out f =
+  with_outputs
+    (fun open_output ->
+      let o = Option.map open_output in
+      (o metrics_out, o trace_out, o perfetto_out))
+    f
 
 (* ------------------------------------------------------------------ *)
 (* run: controllers                                                    *)
@@ -229,42 +263,34 @@ let run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink ~seed
         (Stats.pretty_int (Dist_adaptive.overhead_messages da))
   | s -> invalid_arg ("unknown controller: " ^ s)
 
-let run_scenario verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs
-    scheduler metrics_out trace_out perfetto_out =
+(* [per_seed] holds each seed with its own trace and perfetto outputs. *)
+let run_scenario verbose kind_s shape_s mix_s n0 requests m w seeds jobs
+    scheduler ~metrics per_seed =
   setup_logs verbose;
-  if seeds < 1 then invalid_arg "--seeds must be >= 1";
   let mix = mix_of mix_s in
   Format.printf "controller=%s shape=%s mix=%s n0=%d requests=%d M=%d W=%d U=%d@.@."
     kind_s shape_s mix_s n0 requests m w (n0 + requests);
   (* Each seed is an independent simulation with its own tree, network and
      sink, rendered into its own buffer — so the seeds fan out over the pool
      and the combined output is identical to a sequential run. *)
-  let run_seed sd =
+  let run_seed (sd, trace, perfetto) =
     let buf = Buffer.create 512 in
     let ppf = Format.formatter_of_buffer buf in
-    let per_seed =
-      Option.map (fun p -> if seeds = 1 then p else Printf.sprintf "%s.%d" p sd)
-    in
-    let trace_out = per_seed trace_out in
-    let perfetto_out = per_seed perfetto_out in
     let registry =
-      with_sink ~metrics_out ~trace_out ?perfetto_out ppf (fun sink ->
+      with_sink ~metrics:(metrics <> None) ?trace ?perfetto ppf (fun sink ->
           run_one ppf ~kind_s ~shape_s ~mix ~n0 ~requests ~m ~w ~scheduler ~sink
             ~seed:sd)
     in
     Format.pp_print_flush ppf ();
     (sd, Buffer.contents buf, registry)
   in
-  let outcomes =
-    Pool.map ~jobs:(effective_jobs jobs) run_seed
-      (List.init seeds (fun i -> seed + i))
-  in
+  let outcomes = Pool.map ~jobs:(effective_jobs jobs) run_seed per_seed in
   List.iter
     (fun (sd, text, _) ->
       if seeds > 1 then Format.printf "--- seed %d ---@." sd;
       Format.printf "%s" text)
     outcomes;
-  dump_metrics metrics_out (List.map (fun (_, _, r) -> r) outcomes);
+  dump_metrics metrics (List.map (fun (_, _, r) -> r) outcomes);
   0
 
 let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs scheduler
@@ -273,10 +299,24 @@ let run_main verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs schedu
     (* the AAPS bins are keyed by exact depth, so that baseline models leaf
        insertions only: refuse any other mix as a usage error *)
     `Error (true, "--controller aaps supports only --mix grow (leaf insertions)")
+  else if seeds < 1 then `Error (true, "--seeds must be >= 1")
   else
-    `Ok
-      (run_scenario verbose kind_s shape_s mix_s n0 requests m w seed seeds jobs
-         scheduler metrics_out trace_out perfetto_out)
+    with_outputs
+      (fun open_output ->
+        (* with several seeds, each one's trace goes to FILE.<seed> *)
+        let per_seed sd =
+          Option.map (fun p ->
+              open_output
+                (if seeds = 1 then p else Printf.sprintf "%s.%d" p sd))
+        in
+        let metrics = Option.map open_output metrics_out in
+        ( metrics,
+          List.init seeds (fun i ->
+              let sd = seed + i in
+              (sd, per_seed sd trace_out, per_seed sd perfetto_out)) ))
+      (fun (metrics, per_seed) ->
+        run_scenario verbose kind_s shape_s mix_s n0 requests m w seeds jobs
+          scheduler ~metrics per_seed)
 
 let run_cmd =
   let kind =
@@ -320,10 +360,12 @@ let drive_estimator ~seed ~mix ~changes ~net ~tree ~submit =
 
 let size_est_main shape_s mix_s n0 changes beta seed scheduler metrics_out trace_out
     perfetto_out =
+  with_run_outputs metrics_out trace_out perfetto_out
+  @@ fun (metrics, trace, perfetto) ->
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng (shape_of ~n:n0 shape_s) in
   let registry =
-    with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter (fun sink ->
+    with_sink ~metrics:(metrics <> None) ?trace ?perfetto Format.std_formatter (fun sink ->
         let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
         let se = Estimator.Size_estimation.create ~beta ~net () in
         drive_estimator ~seed ~mix:(mix_of mix_s) ~changes ~net ~tree
@@ -337,7 +379,7 @@ let size_est_main shape_s mix_s n0 changes beta seed scheduler metrics_out trace
           (Stats.pretty_int (Net.messages net))
           (Stats.pretty_int (Estimator.Size_estimation.overhead_messages se)))
   in
-  dump_metrics metrics_out [ registry ];
+  dump_metrics metrics [ registry ];
   0
 
 let size_est_cmd =
@@ -345,15 +387,17 @@ let size_est_cmd =
   let beta = Arg.(value & opt float 2.0 & info [ "beta" ] ~doc:"approximation factor") in
   Cmd.v
     (Cmd.info "size-est" ~doc:"run the Theorem 5.1 size-estimation protocol")
-    Term.(const size_est_main $ shape_arg $ mix_arg $ n0_arg $ changes $ beta $ seed_arg
-          $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg)
+    Term.(ret (const size_est_main $ shape_arg $ mix_arg $ n0_arg $ changes $ beta $ seed_arg
+          $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg))
 
 let names_main shape_s mix_s n0 changes seed scheduler metrics_out trace_out
     perfetto_out =
+  with_run_outputs metrics_out trace_out perfetto_out
+  @@ fun (metrics, trace, perfetto) ->
   let rng = Rng.create ~seed in
   let tree = Workload.Shape.build rng (shape_of ~n:n0 shape_s) in
   let registry =
-    with_sink ~metrics_out ~trace_out ?perfetto_out Format.std_formatter (fun sink ->
+    with_sink ~metrics:(metrics <> None) ?trace ?perfetto Format.std_formatter (fun sink ->
         let net = Net.create ~seed:(seed + 1) ?scheduler ?sink ~tree () in
         let na = Estimator.Name_assignment.create ~net () in
         drive_estimator ~seed ~mix:(mix_of mix_s) ~changes ~net ~tree
@@ -368,15 +412,15 @@ let names_main shape_s mix_s n0 changes seed scheduler metrics_out trace_out
           (Stats.pretty_int (Net.messages net))
           (Stats.pretty_int (Estimator.Name_assignment.overhead_messages na)))
   in
-  dump_metrics metrics_out [ registry ];
+  dump_metrics metrics [ registry ];
   0
 
 let names_cmd =
   let changes = Arg.(value & opt int 500 & info [ "changes" ] ~doc:"topological changes") in
   Cmd.v
     (Cmd.info "names" ~doc:"run the Theorem 5.2 name-assignment protocol")
-    Term.(const names_main $ shape_arg $ mix_arg $ n0_arg $ changes $ seed_arg
-          $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg)
+    Term.(ret (const names_main $ shape_arg $ mix_arg $ n0_arg $ changes $ seed_arg
+          $ scheduler_arg $ metrics_out_arg $ trace_out_arg $ perfetto_out_arg))
 
 (* ------------------------------------------------------------------ *)
 (* trace: capture and replay scenarios                                 *)

@@ -112,21 +112,30 @@ let sweep_scenario ~discipline ~seed =
     v := Printf.sprintf "granted %d > M" s.Controller.Dist_harness.granted :: !v;
   (!v, s.Controller.Dist_harness.reorders)
 
+(* State shared between cells (a generator hoisted out of the per-cell
+   closure) shows only when the domains interleave, so the parallel sweep
+   runs three times at the default shard size and three times with one
+   pool task per cell, the most interleaved placement. *)
 let test_sweep_deterministic () =
   let seeds = [ 401; 402 ] in
   let r1 = Explore.sweep ~jobs:1 ~seeds sweep_scenario in
-  let r4 = Explore.sweep ~jobs:4 ~seeds sweep_scenario in
-  Alcotest.(check int) "same length" (List.length r1) (List.length r4);
-  List.iter2
-    (fun (a : Explore.run) (b : Explore.run) ->
-      Alcotest.(check string) "discipline order preserved"
-        (Scheduler.name a.Explore.discipline)
-        (Scheduler.name b.Explore.discipline);
-      Alcotest.(check int) "seed order preserved" a.Explore.seed b.Explore.seed;
-      Alcotest.(check (list string)) "violations identical" a.Explore.violations
-        b.Explore.violations;
-      Alcotest.(check int) "reorders identical" a.Explore.reorders b.Explore.reorders)
-    r1 r4
+  List.iter
+    (fun shard_size ->
+      let r4 = Explore.sweep ~jobs:4 ?shard_size ~seeds sweep_scenario in
+      Alcotest.(check int) "same length" (List.length r1) (List.length r4);
+      List.iter2
+        (fun (a : Explore.run) (b : Explore.run) ->
+          Alcotest.(check string) "discipline order preserved"
+            (Scheduler.name a.Explore.discipline)
+            (Scheduler.name b.Explore.discipline);
+          Alcotest.(check int) "seed order preserved" a.Explore.seed
+            b.Explore.seed;
+          Alcotest.(check (list string)) "violations identical"
+            a.Explore.violations b.Explore.violations;
+          Alcotest.(check int) "reorders identical" a.Explore.reorders
+            b.Explore.reorders)
+        r1 r4)
+    [ None; Some 1; None; Some 1; None; Some 1 ]
 
 (* Shard boundaries are a function of the cell list alone, so the rendered
    sweep output must be byte-identical whatever the (jobs, shard_size)
@@ -150,12 +159,11 @@ let test_sweep_sharding_byte_identical () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The race dynlint D7 exists to prevent, stated positively: the
-   shared-accumulator formulation (a closure incrementing one ref across
-   tasks — exactly the shape of the flagged
-   tools/dynlint/test/fixtures_typed/d7_bad fixture) is what D7 rejects;
-   the per-task-owned formulation below is the sanctioned replacement,
-   and it is byte-identical at every parallelism. *)
+(* The fan-out discipline, stated positively: a closure that shares one
+   accumulator across tasks (a ref or buffer captured from outside) races,
+   and the -j witnesses above and in bin/jobs_witness.sh catch it by its
+   effect; the per-task-owned formulation below is the sanctioned one, and
+   it is byte-identical at every parallelism. *)
 
 let test_per_task_state_deterministic () =
   let items = List.init 64 (fun i -> (i * 37) mod 101) in

@@ -1,9 +1,5 @@
-(* One shared .cmt load for every typed pass.
-
-   Both typed passes (the D7/D9 scan and D11 alloc) read the same cmt
-   set. The driver loads it once into [unit_info] values and hands the
-   same list to each pass; the per-pass wall-time report in the summary
-   line keeps the sharing honest. *)
+(* The .cmt load for the typed pass (D11 alloc): the driver reads every
+   cmt once into [unit_info] values, timed as its own "load" phase. *)
 
 type unit_info = {
   ui_name : string;  (* unwrapped unit name: "Mylib__Net" -> "Net" *)

@@ -1,8 +1,7 @@
-(** Shared [.cmt] loading for the typed passes (D7, D9, D11).
+(** [.cmt] loading for the typed pass (D11, {!Lint_alloc}).
 
-    The driver reads each cmt exactly once and hands the same
-    {!unit_info} list to every pass; the per-pass wall-time report in
-    dynlint's summary line keeps the sharing honest. *)
+    The driver reads each cmt exactly once into a {!unit_info} list; the
+    [load] entry of dynlint's per-pass wall-time report measures it. *)
 
 type unit_info = {
   ui_name : string;
@@ -12,6 +11,11 @@ type unit_info = {
   ui_source : string;  (** workspace-relative source path from the cmt *)
   ui_str : Typedtree.structure;
 }
+
+val split_dunder : string -> string list
+(** ["Mylib__Pool"] is [["Mylib"; "Pool"]]: split on double underscores
+    only, so ["zero_alloc"] is untouched. Unwraps the module names of
+    wrapped libraries. *)
 
 val collect_cmt_files : string list -> string list
 (** Walk the given directories (including hidden ones — cmts live under

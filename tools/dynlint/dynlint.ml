@@ -4,21 +4,21 @@
                   [--sarif FILE] [--time-budget-ms N] [PATH...]
 
    Each PATH (relative to --root, default ".") is a directory walked
-   recursively or a single .ml file; the parsetree pass (D1-D6) runs over
-   those. Each --cmt DIR is searched (relative to the working directory,
-   where dune leaves _build artifacts) for .cmt files; the cmts are read
-   ONCE into a shared unit list and both typed passes run over it: the
-   typedtree scan (D7, D9) and the alloc pass (D11). A --cmt DIR yielding
-   no .cmt files is a hard error (exit 2), because silently skipping the
-   typed passes would green-wash a broken build graph. Source files referenced by the cmts are resolved
-   against --root for inline-allow suppression. After every pass, any
-   allow-file entry or inline allow comment that suppressed nothing is
-   itself reported (D10), as is an inline allow naming no rule, so dead
-   exceptions cannot accumulate.
+   recursively or a single .ml file; the parsetree pass (D1-D4, D6) runs
+   over those. Each --cmt DIR is searched (relative to the working
+   directory, where dune leaves _build artifacts) for .cmt files, and the
+   typed pass, D11's zero-alloc proof, runs over them. A --cmt DIR
+   yielding no .cmt files is a hard error (exit 2), because silently
+   skipping the typed pass would green-wash a broken build graph. Source
+   files referenced by the cmts are resolved against --root for
+   inline-allow suppression. After every pass, any allow-file entry or
+   inline allow comment that suppressed nothing is itself reported (D10),
+   as is an inline allow naming no rule, so dead exceptions cannot
+   accumulate.
 
    --rules prints the rule table and exits. Per-pass wall time is
    reported on stderr as "dynlint: timings(ms) parsetree=... load=...
-   typed=... alloc=... total=..."; --time-budget-ms N exits 3 when the
+   alloc=... total=..."; --time-budget-ms N exits 3 when the
    total exceeds N, which CI uses to keep the lint gate honest about its
    own cost.
 
@@ -54,7 +54,7 @@ let () =
         "FILE  allowlist file: lines of [pin] <rule-name> <path-suffix>" );
       ( "--cmt",
         Arg.String (fun d -> cmt_dirs := d :: !cmt_dirs),
-        "DIR  search DIR for .cmt files and run the typed passes (repeatable)" );
+        "DIR  search DIR for .cmt files and run the typed pass (repeatable)" );
       ( "--sarif",
         Arg.String (fun f -> sarif_file := Some f),
         "FILE  also write the findings as SARIF 2.1.0 to FILE" );
@@ -95,27 +95,25 @@ let () =
     if cmt_dirs = [] then []
     else begin
       (* An empty --cmt DIR means @check didn't run (or the dir is wrong):
-         the typed passes (D7, D9, D11) would silently vacuously pass. *)
+         the typed pass (D11) would silently vacuously pass. *)
       List.iter
         (fun d ->
           if Cmt_load.collect_cmt_files [ d ] = [] then (
             Printf.eprintf
               "dynlint: --cmt %s contains no .cmt files; run `dune build \
-               @check` first (typed rules D7/D9/D11 cannot run without cmts)\n"
+               @check` first (typed rule D11 cannot run without cmts)\n"
               d;
             exit 2))
         cmt_dirs;
-      (* one read of every cmt, shared by both typed passes *)
       let units = timed "load" (fun () -> Cmt_load.load_dirs cmt_dirs) in
       let emitter = Lint.make_emitter ~allow ~tracker ~source_root:!root () in
-      timed "typed" (fun () -> Lint_typed.scan_units ~emitter units);
-      timed "alloc" (fun () -> Lint_typed.alloc_units ~emitter units);
+      timed "alloc" (fun () -> Lint_alloc.check_units ~emitter units);
       Lint.emitter_findings emitter
     end
   in
   let in_scope rule =
     match rule with
-    | Lint.Parallel_race | Lint.Rng_taint | Lint.Zero_alloc -> cmt_dirs <> []
+    | Lint.Zero_alloc -> cmt_dirs <> []
     | Lint.Stale_allow -> true
     | _ -> paths <> []
   in

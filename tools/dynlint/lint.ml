@@ -3,10 +3,7 @@ type rule =
   | Ambient
   | Poly_compare
   | Unsafe
-  | Mli
   | Stdout
-  | Parallel_race
-  | Rng_taint
   | Zero_alloc
   | Stale_allow
 
@@ -15,10 +12,7 @@ let rule_id = function
   | Ambient -> "D2"
   | Poly_compare -> "D3"
   | Unsafe -> "D4"
-  | Mli -> "D5"
   | Stdout -> "D6"
-  | Parallel_race -> "D7"
-  | Rng_taint -> "D9"
   | Stale_allow -> "D10"
   | Zero_alloc -> "D11"
 
@@ -27,16 +21,14 @@ let rule_name = function
   | Ambient -> "ambient"
   | Poly_compare -> "poly-compare"
   | Unsafe -> "unsafe"
-  | Mli -> "mli"
   | Stdout -> "stdout"
-  | Parallel_race -> "parallel-race"
-  | Rng_taint -> "rng-taint"
   | Stale_allow -> "stale-allow"
   | Zero_alloc -> "zero-alloc"
 
 let rule_help = function
   | Global_state ->
-      "Top-level mutable allocation in lib/ is shared across Pool domains."
+      "Top-level mutable allocation in lib/, a random generator included, is \
+       shared across Pool domains."
   | Ambient ->
       "Ambient randomness or wall-clock time breaks seeded replay; only the \
        seeded Rng and simulated Net time exist in the model."
@@ -44,16 +36,7 @@ let rule_help = function
       "Polymorphic compare/hash is visit-order dependent on mutable values; \
        use a monomorphic comparator."
   | Unsafe -> "Obj.magic, Marshal and unannotated assert false are forbidden."
-  | Mli -> "Every lib module declares its surface in an .mli."
   | Stdout -> "lib/ code must not write to stdout; use telemetry or return values."
-  | Parallel_race ->
-      "A closure handed to Pool.map/Pool.run/Explore.sweep captures a mutable \
-       value defined outside it: that value is shared across domains and the \
-       -j N = -j 1 byte-determinism contract breaks."
-  | Rng_taint ->
-      "Every Rng.t must flow from a function parameter or an explicit \
-       Rng.create ~seed, never from a module-level binding: module-level RNG \
-       state is drawn from in whatever order domains interleave."
   | Stale_allow ->
       "This allowlist entry or inline allow comment suppresses nothing, or \
        this inline allow or [@@dynlint.*] attribute names no rule dynlint \
@@ -66,17 +49,13 @@ let rule_help = function
        functions not themselves proven or assumed zero-alloc."
 
 let all_rules =
-  [
-    Global_state; Ambient; Poly_compare; Unsafe; Mli; Stdout; Parallel_race;
-    Rng_taint; Stale_allow; Zero_alloc;
-  ]
+  [ Global_state; Ambient; Poly_compare; Unsafe; Stdout; Stale_allow; Zero_alloc ]
 
 (* Which phase of the tool owns the rule — the `--rules` table prints it,
    the driver's per-pass timing summary uses the same names, and the D10
    in_scope gating mirrors it. *)
 let rule_pass = function
-  | Global_state | Ambient | Poly_compare | Unsafe | Mli | Stdout -> "parsetree"
-  | Parallel_race | Rng_taint -> "typedtree"
+  | Global_state | Ambient | Poly_compare | Unsafe | Stdout -> "parsetree"
   | Zero_alloc -> "alloc"
   | Stale_allow -> "driver"
 
@@ -342,16 +321,30 @@ let loc_pos (loc : Location.t) =
 (* ident classification per rule                                       *)
 
 (* D1: allocators of shared mutable state; flagged in application position
-   at module top level *)
+   at module top level. A seeded generator is mutable state too: drawn from
+   by whichever domain gets there first, it breaks seeded replay. *)
 let is_mutable_alloc = function
   | [ "ref" ]
   | [ "Hashtbl"; "create" ]
   | [ "Buffer"; "create" ]
   | [ "Queue"; "create" ]
   | [ "Stack"; "create" ]
-  | [ "Atomic"; "make" ] ->
+  | [ "Atomic"; "make" ]
+  | [ "Rng"; ("create" | "split") ] ->
       true
   | _ -> false
+
+let global_state_msg p =
+  String.concat "." p
+  ^ (match p with
+    | "Rng" :: _ ->
+        " at module top level is a shared generator: Pool domains draw from \
+         it in whatever order they run, so seeded replay breaks; thread the \
+         generator in as a parameter"
+    | _ ->
+        " at module top level is shared mutable state and races under Pool \
+         domains; allocate inside the value's owner")
+  ^ " or annotate with (* dynlint: allow global-state -- reason *)"
 
 (* D2: ambient nondeterminism — wall clock and the global Random state *)
 let ambient_msg = function
@@ -459,12 +452,7 @@ let lint_structure ?(allow = no_allow) ?tracker ~ctx ~path ~lines str =
                 | Pexp_ident { txt; loc } ->
                     let p = path_of_lid txt in
                     if is_mutable_alloc p then
-                      flag Global_state loc
-                        (String.concat "." p
-                       ^ " at module top level is shared mutable state and \
-                          races under Pool domains; allocate inside the \
-                          value's owner or annotate with (* dynlint: allow \
-                          global-state -- reason *)")
+                      flag Global_state loc (global_state_msg p)
                 | _ -> ());
                 Ast_iterator.default_iterator.expr self e
             | _ -> Ast_iterator.default_iterator.expr self e);
@@ -573,46 +561,6 @@ let lint_file ?(allow = no_allow) ?tracker ?display ~ctx path =
         };
       ]
 
-let check_mli ?(allow = no_allow) ?tracker ?display path =
-  let display = Option.value display ~default:path in
-  if file_allowed ?tracker allow Mli display then None
-  else
-    let mli = Filename.remove_extension path ^ ".mli" in
-    if Sys.file_exists mli then None
-    else
-      (* a leading "dynlint: allow mli" comment also suppresses *)
-      let head_allows =
-        match read_file path with
-        | source ->
-            let rec first_lines n = function
-              | x :: tl when n > 0 -> x :: first_lines (n - 1) tl
-              | _ -> []
-            in
-            let rec scan i = function
-              | [] -> None
-              | l :: tl ->
-                  if contains_substring l "dynlint: allow mli" then Some i
-                  else scan (i + 1) tl
-            in
-            scan 1 (first_lines 3 (String.split_on_char '\n' source))
-        | exception Sys_error _ -> None
-      in
-      match head_allows with
-      | Some l ->
-          mark_inline tracker display l;
-          None
-      | None ->
-          Some
-            {
-              file = display;
-              line = 1;
-              col = 0;
-              rule = Mli;
-              msg =
-                "missing interface " ^ Filename.basename mli
-                ^ ": every lib module declares its surface";
-            }
-
 (* ------------------------------------------------------------------ *)
 (* tree walk                                                           *)
 
@@ -651,13 +599,7 @@ let lint_tree ?(allow = no_allow) ?tracker ~root dirs =
     List.concat_map
       (fun abs ->
         let path = rel abs in
-        let ctx = ctx_of_path path in
-        let fs = lint_file ~allow ?tracker ~display:path ~ctx abs in
-        if ctx.lib && not ctx.test then
-          match check_mli ~allow ?tracker ~display:path abs with
-          | Some f -> fs @ [ f ]
-          | None -> fs
-        else fs)
+        lint_file ~allow ?tracker ~display:path ~ctx:(ctx_of_path path) abs)
       files
   in
   List.sort compare_findings findings
@@ -665,11 +607,10 @@ let lint_tree ?(allow = no_allow) ?tracker ~root dirs =
 (* ------------------------------------------------------------------ *)
 (* the shared typed-pass emitter                                       *)
 
-(* Both typed passes (the D7/D9 scan and D11 alloc) emit through one of
-   these: it owns the allow-file and inline-allow suppression (sharing the
-   tracker for D10 staleness), caches source lines so each linted source
-   is read once across both passes, and accumulates the surviving
-   findings. *)
+(* The typed pass (D11 alloc) emits through one of these: it owns the
+   allow-file and inline-allow suppression (sharing the tracker for D10
+   staleness), caches source lines so each linted source is read once, and
+   accumulates the surviving findings. *)
 type emitter = {
   em_allow : allow;
   em_tracker : tracker option;

@@ -1,22 +1,24 @@
 (** dynlint: repo-specific determinism & domain-safety lint rules.
 
     Each rule is motivated by a bug this repo already shipped (or nearly
-    shipped); see DESIGN.md "Static analysis". D1-D6 operate on the
+    shipped); see DESIGN.md "Static analysis". D1-D4 and D6 operate on the
     parsetree (compiler-libs [Parse] + [Ast_iterator]) — no typing pass —
     so they are fast and run on any file that parses, at the cost of a few
-    syntactic heuristics. D7, D9 and D11 need types and cross-module
-    visibility and live in the typed passes ({!Lint_typed} and
-    {!Lint_alloc}, reading [.cmt] files); D10 is computed by the driver
-    from the {!tracker} both passes share. D8, D12 and D13 are retired and
-    their ids are not reused (see DESIGN.md "Static analysis").
+    syntactic heuristics. D11 needs types and cross-module visibility and
+    is the one typed pass ({!Lint_alloc}, reading [.cmt] files); D10 is
+    computed by the driver from the {!tracker} both passes share. D5, D7,
+    D8, D9, D12 and D13 are retired and their ids are not reused: the
+    compiler's warning 70, D1, the type system, the [.mli] boundary and
+    runtime witnesses cover them (see DESIGN.md "Static analysis").
 
     {2 Rules}
 
     - [D1 global-state]: top-level bindings in [lib/] that allocate mutable
       state ([ref]/[Hashtbl.create]/[Buffer.create]/[Queue.create]/
-      [Stack.create]/[Atomic.make]), including inside nested modules and
-      under [lazy]. These race under [Pool] domains and broke [-j]
-      byte-determinism in PR 3.
+      [Stack.create]/[Atomic.make]) or a random generator
+      ([Rng.create]/[Rng.split]), including inside nested modules, record
+      fields and [lazy]; the walk stops at function boundaries. These race
+      under [Pool] domains and once broke [-j] byte-determinism.
     - [D2 ambient]: [Random.*], [Sys.time], [Unix.gettimeofday]/[time]/
       [gmtime]/[localtime] in [lib/] outside [lib/util/rng.ml]. Only the
       seeded [Rng] and simulated time exist in the paper's model.
@@ -26,17 +28,8 @@
       visit-order dependent; hot paths want monomorphic compares anyway.
     - [D4 unsafe]: [Obj.magic], [Marshal.*], [assert false] in non-test
       code. [assert false] is fine where truly unreachable — annotate it.
-    - [D5 mli]: every [lib/**/*.ml] has a matching [.mli].
     - [D6 stdout]: [print_*]/[Printf.printf]/[Format.printf] in [lib/];
       output must go through telemetry sinks or returned values.
-    - [D7 parallel-race] (typed): a closure passed to [Pool.map]/[Pool.run]/
-      [Pool.iter]/[Explore.sweep] captures a mutable value ([ref],
-      [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t], [Atomic.t], [Net.t],
-      [Rng.t], [Dtree.t], [Metrics.t], [Sink.t]) defined outside the
-      closure, or touches module-level mutable state: shared across domains.
-    - [D9 rng-taint] (typed): an [Rng.t] bound at module level, or drawn
-      from another module's value, instead of flowing from a function
-      parameter or an explicit [Rng.create ~seed].
     - [D10 stale-allow] (driver): an allow-file entry or inline allow
       comment that suppressed no finding across the whole run; an inline
       allow naming no rule; a [[@@dynlint.<x>]] attribute other than
@@ -62,20 +55,17 @@ type rule =
   | Ambient  (** D2 *)
   | Poly_compare  (** D3 *)
   | Unsafe  (** D4 *)
-  | Mli  (** D5 *)
   | Stdout  (** D6 *)
-  | Parallel_race  (** D7, typedtree pass *)
-  | Rng_taint  (** D9, typedtree pass *)
   | Zero_alloc  (** D11, alloc pass *)
   | Stale_allow  (** D10, driver *)
 
 val rule_id : rule -> string
-(** ["D1"] .. ["D11"], with no ["D8"]. *)
+(** ["D1"]-["D4"], ["D6"], ["D10"] and ["D11"]; retired ids are never
+    reused. *)
 
 val rule_name : rule -> string
 (** The allowlist token: ["global-state"], ["ambient"], ["poly-compare"],
-    ["unsafe"], ["mli"], ["stdout"], ["parallel-race"], ["rng-taint"],
-    ["stale-allow"], ["zero-alloc"]. *)
+    ["unsafe"], ["stdout"], ["stale-allow"], ["zero-alloc"]. *)
 
 val rule_help : rule -> string
 (** One-sentence rationale, used as the SARIF rule description. *)
@@ -84,15 +74,13 @@ val all_rules : rule list
 (** Every rule, in id order. *)
 
 val rule_pass : rule -> string
-(** Which phase owns the rule: ["parsetree"] (D1-D6), ["typedtree"]
-    (D7, D9), ["alloc"] (D11) or ["driver"] (D10). The driver's per-pass timing summary uses the same
+(** Which phase owns the rule: ["parsetree"] (D1-D4, D6), ["alloc"] (D11)
+    or ["driver"] (D10). The driver's per-pass timing summary uses the same
     names. *)
 
 val rules_table : unit -> string
 (** The [dynlint --rules] listing: a header line plus one line per rule
     (id, allow-key, pass, one-line summary), in {!all_rules} order. *)
-
-val rule_of_name : string -> rule option
 
 type finding = {
   file : string;
@@ -121,7 +109,7 @@ val load_allow_file : string -> allow
 type tracker
 (** Mutable record of which suppressions (allow-file entries and inline
     allow comments) actually fired, and of every inline allow site seen.
-    Share one tracker across the parsetree and typedtree passes, then call
+    Share one tracker across the parsetree and typed passes, then call
     {!stale_findings} for the D10 report. *)
 
 val new_tracker : unit -> tracker
@@ -135,28 +123,9 @@ val stale_findings :
     typed-only invocation must not call a parsetree rule's suppressions
     stale. Sorted by (file, line). *)
 
-val file_allowed : ?tracker:tracker -> allow -> rule -> string -> bool
-(** Does an allow entry suppress [rule] for this path? Marks the entry used
-    in the tracker when it does. *)
-
-val line_allowed :
-  ?tracker:tracker -> file:string -> string array -> rule -> int -> bool
-(** Is a finding for [rule] on 1-indexed line [l] suppressed by an inline
-    allow comment on line [l] or [l-1]? Marks the comment used. *)
-
-val scan_inline_allows : ?tracker:tracker -> file:string -> string array -> unit
-(** Register every [dynlint: allow <name>] site in the file's lines with
-    the tracker, so unused ones, and ones naming no rule, can be reported
-    by {!stale_findings}. No-op without a tracker. *)
-
-val source_lines : string -> string array
-(** The file's lines, for {!line_allowed}/{!scan_inline_allows} callers
-    outside this module (the typedtree pass).
-    @raise Sys_error if the file cannot be read. *)
-
 (** Which rule groups apply to a file, by where it lives in the tree. *)
 type ctx = {
-  lib : bool;  (** under [lib/]: D1, D2, D3, D6 (D5 checked separately) *)
+  lib : bool;  (** under [lib/]: D1, D2, D3, D6 *)
   test : bool;  (** test code: D4 does not apply *)
 }
 
@@ -173,28 +142,21 @@ val lint_file :
     source order and carry [display] (default: the path itself) as their
     file. *)
 
-val check_mli :
-  ?allow:allow -> ?tracker:tracker -> ?display:string -> string ->
-  finding option
-(** D5 for one [.ml] path: [Some finding] when the sibling [.mli] is
-    missing. *)
-
 val lint_tree :
   ?allow:allow -> ?tracker:tracker -> root:string -> string list ->
   finding list
 (** Walk the given directories (relative to [root]) recursively in sorted
-    order, lint every [.ml] with {!lint_file} under its {!ctx_of_path}
-    classification, and apply {!check_mli} to lib files. [_build], [.git]
+    order and lint every [.ml] with {!lint_file} under its {!ctx_of_path}
+    classification. [_build], [.git]
     and hidden directories are skipped. Findings are sorted by
     (file, line, col). *)
 
 type emitter
-(** The shared finding sink of the typed passes: owns allow-file and
-    inline-allow suppression (sharing the tracker for D10 staleness),
-    caches source lines so each linted source is read once across every
-    pass, and accumulates the surviving findings. Make one, hand it to
-    {!Lint_typed.scan_units} and {!Lint_typed.alloc_units} in turn, then
-    collect with {!emitter_findings}. *)
+(** The finding sink of the typed pass: owns allow-file and inline-allow
+    suppression (sharing the tracker for D10 staleness), caches source
+    lines so each linted source is read once, and accumulates the
+    surviving findings. Make one, hand it to {!Lint_alloc.check_units},
+    then collect with {!emitter_findings}. *)
 
 val make_emitter :
   ?allow:allow -> ?tracker:tracker -> ?source_root:string -> unit -> emitter

@@ -51,25 +51,18 @@
 
 open Typedtree
 
-(* ---------- path normalization (same scheme as Lint_typed) ---------- *)
+(* ---------- path normalization ---------- *)
 
-let split_dunder s =
-  let n = String.length s in
-  let rec go acc start i =
-    if i + 1 >= n then List.rev (String.sub s start (n - start) :: acc)
-    else if s.[i] = '_' && s.[i + 1] = '_' then
-      go (String.sub s start (i - start) :: acc) (i + 2) (i + 2)
-    else go acc start (i + 1)
-  in
-  if n = 0 then [ s ] else go [] 0 0
-
+(* A [Path.t] flattened to its dotted components, each further split on
+   "__", so [Net.send] and the wrapped-library spelling [Simnet__Net.send]
+   both end in ["Net"; "send"]. *)
 let rec path_components acc = function
   | Path.Pident id -> Ident.name id :: acc
   | Path.Pdot (p, s) -> path_components (s :: acc) p
   | Path.Papply (p, _) -> path_components acc p
   | Path.Pextra_ty (p, _) -> path_components acc p
 
-let norm_path p = List.concat_map split_dunder (path_components [] p)
+let norm_path p = List.concat_map Cmt_load.split_dunder (path_components [] p)
 let drop_stdlib = function "Stdlib" :: (_ :: _ as rest) -> rest | c -> c
 
 (* ---------- classification tables ---------- *)
@@ -198,7 +191,7 @@ and verdict =
   | V_bad of string  (* one-line reason: "file:line: what allocates" *)
 
 (* Every let-bound ident in the unit, module- and expression-level, keyed
-   by unique name (same scheme as the D7 chase). *)
+   by unique name (Ident stamps make shadowing unambiguous). *)
 let collect_value_binds (str : structure) =
   let binds = Hashtbl.create 64 in
   let add (vb : value_binding) =
@@ -716,6 +709,8 @@ and chase_local vctx key bound =
 
 (* ---------- driver ---------- *)
 
+(* Second sweep: verify every [check]-mode summary against the trusted
+   table formed by all summaries, check and assume alike. *)
 let verify ~emit summaries =
   let proven = Hashtbl.create 64 in
   List.iter
@@ -738,3 +733,27 @@ let verify ~emit summaries =
           in
           check_body vctx body)
     summaries
+
+(* Harvest every unit's summaries first, then verify, so cross-module
+   calls resolve whatever the scan order. Every unit's source is touched
+   up front so its inline allow sites register with the tracker even when
+   the file is finding-free. *)
+let check_units ~emitter units =
+  let summaries =
+    List.concat_map
+      (fun (u : Cmt_load.unit_info) ->
+        ignore (Lint.emitter_touch_source emitter u.ui_source);
+        collect ~unit_name:u.ui_name u.ui_str)
+      units
+  in
+  verify
+    ~emit:(fun loc msg -> Lint.emit emitter Lint.Zero_alloc loc msg)
+    summaries
+
+let lint_cmt_files ?allow ?tracker ?source_root cmts =
+  let emitter = Lint.make_emitter ?allow ?tracker ?source_root () in
+  check_units ~emitter (Cmt_load.load_files cmts);
+  Lint.emitter_findings emitter
+
+let lint_cmt_dirs ?allow ?tracker ?source_root dirs =
+  lint_cmt_files ?allow ?tracker ?source_root (Cmt_load.collect_cmt_files dirs)

@@ -22,17 +22,33 @@
     [[@@dynlint.zero_alloc assume]] enters the table unverified — the
     escape hatch for externals. See DESIGN.md "Allocation discipline". *)
 
-type summary
-(** One annotated value from one compilation unit: its name, mode
-    (check/assume), body, and the unit's binding environment for the
-    same-unit chase. *)
+val check_units : emitter:Lint.emitter -> Cmt_load.unit_info list -> unit
+(** D11 over preloaded units. First sweep: every
+    [[@@dynlint.zero_alloc]]-annotated value binding or external, check and
+    assume alike, enters a trusted table keyed by (unwrapped unit name,
+    value name). Second sweep: every [check]-mode value is verified against
+    that table, one finding per allocation site, so cross-module calls
+    resolve whatever the scan order. Every unit's source is touched through
+    the emitter, so finding-free files still register their inline allow
+    sites for D10. *)
 
-val collect : unit_name:string -> Typedtree.structure -> summary list
-(** First sweep: every [[@@dynlint.zero_alloc]]-annotated value binding or
-    external in the structure. [unit_name] is the unwrapped compilation
-    unit name ("Net", "Dtree", ...) used for cross-module lookup. *)
+val lint_cmt_files :
+  ?allow:Lint.allow ->
+  ?tracker:Lint.tracker ->
+  ?source_root:string ->
+  string list ->
+  Lint.finding list
+(** {!check_units} over the given [.cmt] files, loaded with
+    {!Cmt_load.load_files}. [source_root] (default ["."]) prefixes the
+    workspace-relative source paths recorded in the cmts when reading
+    sources for inline-allow suppression; when a source cannot be found,
+    only allow-file suppression applies. Findings are sorted by
+    (file, line, col). *)
 
-val verify : emit:(Location.t -> string -> unit) -> summary list -> unit
-(** Second sweep: verify every [check]-mode summary against the trusted
-    table formed by all summaries (check and assume alike), emitting one
-    finding per allocation site. *)
+val lint_cmt_dirs :
+  ?allow:Lint.allow ->
+  ?tracker:Lint.tracker ->
+  ?source_root:string ->
+  string list ->
+  Lint.finding list
+(** {!Cmt_load.collect_cmt_files} composed with {!lint_cmt_files}. *)

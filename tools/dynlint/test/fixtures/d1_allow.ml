@@ -10,4 +10,10 @@ module Nested = struct
 end
 
 let lazy_queue = lazy (Queue.create ()) (* dynlint: allow global-state -- fixture *)
-let use () = (table, total, Nested.buf, lazy_queue)
+let ambient = Rng.create ~seed:42 (* dynlint: allow global-state -- fixture *)
+
+type bundle = { gen : Rng.t; label : string }
+
+(* dynlint: allow global-state -- a generator inside a record field *)
+let hidden = { gen = Rng.create ~seed:7; label = "smuggled" }
+let use () = (table, total, Nested.buf, lazy_queue, ambient, hidden)

@@ -1,9 +1,9 @@
 (* dynlint's own test suite: a fixture corpus with one bad + one
    allow-annotated file per rule, exact rule-id assertions, the allow-file
-   and context gates, the typed (cmt) fixtures for D7/D9/D11, SARIF
-   output, stale-suppression and unknown-vocabulary reporting, rule-table
-   sync across --rules / SARIF / DESIGN.md, and clean-tree silence on the
-   repo's lib/ under every pass. *)
+   and context gates, the typed (cmt) fixtures for D11, SARIF output,
+   stale-suppression and unknown-vocabulary reporting, rule-table sync
+   across --rules / SARIF / DESIGN.md, and clean-tree silence on the
+   repo's lib/ under both passes. *)
 
 let lib_ctx = { Lint.lib = true; test = false }
 
@@ -25,7 +25,8 @@ let read_file path =
   s
 
 let test_bad_fixtures () =
-  check_ids "d1_bad" [ "D1"; "D1"; "D1"; "D1" ] (ids "fixtures/d1_bad.ml");
+  check_ids "d1_bad" [ "D1"; "D1"; "D1"; "D1"; "D1"; "D1" ]
+    (ids "fixtures/d1_bad.ml");
   check_ids "d2_bad" [ "D2"; "D2"; "D2" ] (ids "fixtures/d2_bad.ml");
   check_ids "d3_bad" [ "D3"; "D3"; "D3" ] (ids "fixtures/d3_bad.ml");
   check_ids "d4_bad" [ "D4"; "D4"; "D4" ] (ids "fixtures/d4_bad.ml");
@@ -36,17 +37,21 @@ let test_allow_fixtures () =
     (fun p -> check_ids p [] (ids ("fixtures/" ^ p)))
     [ "d1_allow.ml"; "d2_allow.ml"; "d3_allow.ml"; "d4_allow.ml"; "d6_allow.ml" ]
 
-let test_mli () =
-  (match Lint.check_mli "fixtures/d5_missing/orphan.ml" with
-  | Some f ->
-      Alcotest.(check string) "orphan rule" "D5" (Lint.rule_id f.Lint.rule)
-  | None -> Alcotest.fail "orphan.ml should be a D5 finding");
-  (match Lint.check_mli "fixtures/d5_missing/allowed.ml" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "allowed.ml carries a dynlint: allow mli header");
-  match Lint.check_mli "fixtures/d5_covered/covered.ml" with
-  | None -> ()
-  | Some _ -> Alcotest.fail "covered.ml has a matching .mli"
+(* A module-level generator is D1 mutable state, also when it hides in a
+   record field; the walk stops at function boundaries, so [fork] is
+   legal. *)
+let test_d1_generators () =
+  let findings = Lint.lint_file ~ctx:lib_ctx "fixtures/d1_bad.ml" in
+  Alcotest.(check (list int)) "D1 lines" [ 4; 5; 8; 11; 15; 20 ]
+    (List.map (fun f -> f.Lint.line) findings);
+  List.iter
+    (fun line ->
+      match List.find_opt (fun f -> f.Lint.line = line) findings with
+      | Some f ->
+          Alcotest.(check bool) "names Rng.create" true
+            (contains f.Lint.msg "Rng.create at module top level is a shared generator")
+      | None -> Alcotest.failf "no D1 finding on line %d" line)
+    [ 15; 20 ]
 
 let test_context_gates () =
   (* lib-only rules are silent outside lib/ ... *)
@@ -94,61 +99,16 @@ let test_report_format () =
   | [] -> Alcotest.fail "d1_bad.ml should have findings"
 
 (* ---------------------------------------------------------------- *)
-(* Typed (cmt) passes: D7/D9/D11 over the fixtures_typed mini-projects.
-   Each fixture is a real dune library; its cmts live under .objs in the
+(* The typed (cmt) pass: D11 over the fixtures_typed mini-projects. Each
+   fixture is a real dune library; its cmts live under .objs in the
    test's own build directory. *)
 
 let typed_findings ?allow ?tracker dir =
-  Lint_typed.lint_cmt_dirs ?allow ?tracker ~source_root:"../../.."
+  Lint_alloc.lint_cmt_dirs ?allow ?tracker ~source_root:"../../.."
     [ "fixtures_typed/" ^ dir ]
 
 let typed_ids dir =
   List.map (fun f -> Lint.rule_id f.Lint.rule) (typed_findings dir)
-
-let test_d7 () =
-  (* the local ref, the module-level Hashtbl, the Buffer under Pool.run,
-     and the Hashtbl captured by the ident-bound closure Pool.map chases *)
-  check_ids "d7_bad" [ "D7"; "D7"; "D7"; "D7" ] (typed_ids "d7_bad");
-  (match
-     List.find_opt
-       (fun f -> contains f.Lint.msg "'seen'")
-       (typed_findings "d7_bad")
-   with
-  | Some _ -> ()
-  | None -> Alcotest.fail "ident-bound closure capture of 'seen' not chased");
-  check_ids "d7_allow" [] (typed_ids "d7_allow")
-
-let test_d7_cross_module () =
-  match typed_findings "d7_cross" with
-  | [ f ] ->
-      Alcotest.(check string) "rule" "D7" (Lint.rule_id f.Lint.rule);
-      Alcotest.(check bool) "names the foreign unit's value" true
-        (contains f.Lint.msg "Shared.total")
-  | fs ->
-      Alcotest.failf "d7_cross: expected exactly 1 finding, got %d"
-        (List.length fs)
-
-let test_d9 () =
-  (match typed_findings "d9_bad" with
-  | [ use; binding; smuggle ] ->
-      check_ids "d9_bad ids" [ "D9"; "D9"; "D9" ]
-        [
-          Lint.rule_id use.Lint.rule;
-          Lint.rule_id binding.Lint.rule;
-          Lint.rule_id smuggle.Lint.rule;
-        ];
-      Alcotest.(check bool) "cross-module read flagged" true
-        (contains use.Lint.file "fixture.ml" && contains use.Lint.msg "Globals.ambient");
-      Alcotest.(check bool) "module-level binding flagged" true
-        (contains binding.Lint.file "globals.ml" && contains binding.Lint.msg "ambient");
-      Alcotest.(check bool) "record-field smuggling flagged" true
-        (contains smuggle.Lint.file "globals.ml"
-        && contains smuggle.Lint.msg "hidden"
-        && contains smuggle.Lint.msg "smuggles")
-  | fs ->
-      Alcotest.failf "d9_bad: expected exactly 3 findings, got %d"
-        (List.length fs));
-  check_ids "d9_allow" [] (typed_ids "d9_allow")
 
 let test_d11 () =
   let findings = typed_findings "d11_bad" in
@@ -206,31 +166,40 @@ let test_d11_allow () =
       Alcotest.failf "d11_allow: expected exactly 1 stale finding, got %d"
         (List.length fs)
 
-(* The D12/D13 passes are retired: an inline allow or an attribute left
-   over from them suppresses nothing and is reported by D10. *)
+(* The D5, D7, D9, D12 and D13 rules are retired: an inline allow or an
+   attribute left over from them suppresses nothing and is reported by
+   D10. *)
 let test_retired_allow () =
   let tracker = Lint.new_tracker () in
   let findings =
     Lint.lint_file ~tracker ~ctx:lib_ctx "fixtures/retired_allow.ml"
   in
-  (* the message-flow allow does not hide the print on its line *)
-  check_ids "retired allows suppress nothing" [ "D10"; "D10"; "D6"; "D10" ]
+  (* the message-flow allow does not hide the print on its line, and the
+     parallel-race and rng-taint allows do not hide the D1 findings on
+     theirs *)
+  check_ids "retired allows suppress nothing"
+    [ "D10"; "D10"; "D6"; "D10"; "D1"; "D1" ]
     (List.map (fun f -> Lint.rule_id f.Lint.rule) findings);
-  Alcotest.(check (list int)) "finding lines" [ 3; 4; 9; 10 ]
+  Alcotest.(check (list int)) "finding lines" [ 3; 4; 9; 10; 15; 16 ]
     (List.map (fun f -> f.Lint.line) findings);
-  (match Lint.stale_findings ~allow:Lint.no_allow tracker with
-  | [ pool; flow ] ->
-      check_ids "both are D10" [ "D10"; "D10" ]
-        [ Lint.rule_id pool.Lint.rule; Lint.rule_id flow.Lint.rule ];
-      Alcotest.(check int) "pool-discipline line" 6 pool.Lint.line;
-      Alcotest.(check bool) "pool-discipline named" true
-        (contains pool.Lint.msg "allow pool-discipline\" names no dynlint rule");
-      Alcotest.(check int) "message-flow line" 9 flow.Lint.line;
-      Alcotest.(check bool) "message-flow named" true
-        (contains flow.Lint.msg "allow message-flow\" names no dynlint rule")
-  | fs ->
-      Alcotest.failf "retired_allow.ml: expected exactly 2 stale findings, got [%s]"
-        (String.concat "; " (List.map Lint.finding_to_string fs)));
+  let stale = Lint.stale_findings ~allow:Lint.no_allow tracker in
+  let expected =
+    [
+      (6, "pool-discipline"); (9, "message-flow"); (14, "mli");
+      (15, "parallel-race"); (16, "rng-taint");
+    ]
+  in
+  if List.length stale <> List.length expected then
+    Alcotest.failf "retired_allow.ml: expected exactly %d stale findings, got [%s]"
+      (List.length expected)
+      (String.concat "; " (List.map Lint.finding_to_string stale));
+  List.iter2
+    (fun (f : Lint.finding) (line, name) ->
+      Alcotest.(check string) (name ^ " is D10") "D10" (Lint.rule_id f.rule);
+      Alcotest.(check int) (name ^ " line") line f.line;
+      Alcotest.(check bool) (name ^ " named") true
+        (contains f.msg ("allow " ^ name ^ "\" names no dynlint rule")))
+    stale expected;
   (* a run that does not include D10 leaves unknown names alone *)
   let d11_only = function Lint.Zero_alloc -> true | _ -> false in
   Alcotest.(check int) "unknown names need D10 in scope" 0
@@ -287,9 +256,7 @@ let test_stale_allow () =
       Alcotest.failf "expected exactly 3 stale findings, got %d"
         (List.length fs));
   (* a typed-only run must not call parsetree-rule suppressions stale *)
-  let typed_only =
-    function Lint.Parallel_race | Lint.Rng_taint -> true | _ -> false
-  in
+  let typed_only = function Lint.Zero_alloc -> true | _ -> false in
   Alcotest.(check int) "out-of-scope suppressions are not stale" 0
     (List.length (Lint.stale_findings ~in_scope:typed_only ~allow tracker))
 
@@ -320,8 +287,10 @@ let test_rules_table_sync () =
       Alcotest.(check bool) (id ^ " not in --rules table") false
         (contains table ("\n" ^ id ^ " "));
       Alcotest.(check bool) (id ^ " not in SARIF rule table") false
-        (contains sarif ("\"id\": \"" ^ id ^ "\"")))
-    [ "D8"; "D12"; "D13" ]
+        (contains sarif ("\"id\": \"" ^ id ^ "\""));
+      Alcotest.(check bool) (id ^ " no row in DESIGN.md") false
+        (contains design ("| " ^ id ^ " |")))
+    [ "D5"; "D7"; "D8"; "D9"; "D12"; "D13" ]
 
 (* ---------------------------------------------------------------- *)
 (* The installed executable: --rules output, and the hard error on a
@@ -359,9 +328,10 @@ let test_exe_time_budget () =
 (* ---------------------------------------------------------------- *)
 (* SARIF output. *)
 
-(* One finding source per typed rule: D7, D9 and D11. *)
+(* One finding source per pass: the parsetree D1 fixture and the typed
+   D11 one. *)
 let golden_findings () =
-  typed_findings "d7_bad" @ typed_findings "d9_bad" @ typed_findings "d11_cross"
+  Lint.lint_file ~ctx:lib_ctx "fixtures/d1_bad.ml" @ typed_findings "d11_cross"
 
 (* Regenerate with
      DYNLINT_REGEN_GOLDEN=1 dune build @tools/dynlint/runtest
@@ -441,7 +411,7 @@ let test_clean_tree () =
 let test_clean_tree_typed () =
   let allow = Lint.load_allow_file "../../../dynlint.allow" in
   let findings =
-    Lint_typed.lint_cmt_dirs ~allow ~source_root:"../../.." [ "../../../lib" ]
+    Lint_alloc.lint_cmt_dirs ~allow ~source_root:"../../.." [ "../../../lib" ]
   in
   Alcotest.(check (list string)) "lib/ cmts are dynlint-clean" []
     (List.map Lint.finding_to_string findings)
@@ -455,14 +425,11 @@ let () =
             test_bad_fixtures;
           Alcotest.test_case "allow comments silence findings" `Quick
             test_allow_fixtures;
-          Alcotest.test_case "mli coverage (D5)" `Quick test_mli;
+          Alcotest.test_case "module-level generators (D1)" `Quick
+            test_d1_generators;
         ] );
       ( "typed rules",
         [
-          Alcotest.test_case "parallel-race fixtures (D7)" `Quick test_d7;
-          Alcotest.test_case "cross-module capture (D7)" `Quick
-            test_d7_cross_module;
-          Alcotest.test_case "rng taint (D9)" `Quick test_d9;
           Alcotest.test_case "stale suppressions (D10)" `Quick
             test_stale_allow;
           Alcotest.test_case "zero-alloc (D11)" `Quick test_d11;
